@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use httpsim::{HttpDate, Request, Response};
 use proxycache::{EntryMeta, LruStore, Store, UnboundedStore};
 use rand::RngCore;
-use simcore::{Dispatch, Event, EventQueue, FileId, Scheduler, SimTime, Simulation};
+use simcore::{Dispatch, EventQueue, FileId, Scheduler, SimTime, Simulation};
 use simstats::{DetRng, ZipfDist};
 use std::hint::black_box;
 use webcache::{generate_synthetic, run, ProtocolSpec, SimConfig, SweepRunner, WorrellConfig};
@@ -194,30 +194,10 @@ fn bench_stats(c: &mut Criterion) {
     });
 }
 
-/// Boxed-closure dispatch vs the concrete event enum: the same 10k-event
-/// chain driven through `Simulation` both ways. The enum path is the one
-/// `core::sim` uses for its dominant request/modify events; the boxed path
-/// is the backward-compatible fallback.
+/// Concrete-enum event dispatch: a 10k-event chain driven through
+/// `Simulation`, the path `core::sim` uses for its request/modify events.
 fn bench_event_dispatch(c: &mut Criterion) {
     const CHAIN: u64 = 10_000;
-
-    struct BoxedTick(u64);
-    impl Event<u64> for BoxedTick {
-        fn fire(self: Box<Self>, world: &mut u64, sched: &mut Scheduler<u64>) {
-            *world += self.0;
-            if self.0 < CHAIN {
-                sched.schedule_in(simcore::SimDuration::from_secs(1), BoxedTick(self.0 + 1));
-            }
-        }
-    }
-    c.bench_function("simcore/dispatch_boxed_closure_10k", |b| {
-        b.iter(|| {
-            let mut sim: Simulation<u64> = Simulation::new(0);
-            sim.scheduler().schedule_at(SimTime::ZERO, BoxedTick(1));
-            sim.run_to_completion();
-            black_box(*sim.world())
-        })
-    });
 
     #[derive(Clone, Copy)]
     struct EnumTick(u64);

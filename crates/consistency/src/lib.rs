@@ -27,14 +27,18 @@
 //! [`LinkModel`] supplies the modeled transfer delays that the simulator
 //! and the live proxy thread into [`RequestCtx::delay`].
 //!
-//! The invalidation protocol's *server-side* machinery (subscriber
-//! registry, callbacks) lives in `originserver`; the simulators in
-//! `webcache` wire both halves together.
+//! [`CacheNode`] is the one request path every cache runs — the
+//! simulators' caches and each live proxy shard: a sans-IO state machine
+//! that owns the store, the policy and the counters, while its driver
+//! owns time and the upstream. The invalidation protocol's *server-side*
+//! machinery (subscriber registry, callbacks) lives in `originserver`;
+//! the drivers in `webcache` and `liveserve` wire both halves together.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cern;
+mod node;
 mod policy;
 mod renewable;
 mod risk;
@@ -42,6 +46,7 @@ mod selftuning;
 mod typed;
 
 pub use cern::CernPolicy;
+pub use node::{CacheNode, Commit, Exchange, Reply, RetrievalMode, Step};
 pub use policy::{
     decide_by_expiry, AdaptiveTtl, Decision, ExpiryPolicy, FixedTtl, LinkModel, NeverExpire,
     Policy, PollEveryTime, RequestCtx,

@@ -21,12 +21,14 @@
 
 use std::sync::Arc;
 
+use consistency::{CacheNode, Commit, Exchange, LinkModel, NeverExpire, Reply, Step};
+use httpsim::PAPER_MESSAGE_BYTES;
 use originserver::{OriginServer, RetryQueue};
-use proxycache::{EntryMeta, Store, UnboundedStore};
+use proxycache::{EntryMeta, UnboundedStore};
 use simcore::{
-    CacheId, CacheStats, Dispatch, FileId, Scheduler, SimDuration, SimTime, Simulation,
-    TrafficMeter,
+    CacheId, Dispatch, FileId, Scheduler, SimDuration, SimTime, Simulation, TrafficMeter,
 };
+use wcc_obs::NoopProbe;
 
 use crate::protocol::ProtocolSpec;
 use crate::sim::{run, RunResult, SimConfig};
@@ -67,8 +69,8 @@ enum FailureEvent {
     Retry,
 }
 
-impl Dispatch<World> for FailureEvent {
-    fn dispatch(self, world: &mut World, sched: &mut Scheduler<World, Self>) {
+impl<'w> Dispatch<World<'w>> for FailureEvent {
+    fn dispatch(self, world: &mut World<'w>, sched: &mut Scheduler<World<'w>, Self>) {
         match self {
             FailureEvent::Modify(f) => world.on_modification(f, sched.now(), sched),
             FailureEvent::Request(f) => world.on_request(f, sched.now()),
@@ -77,27 +79,31 @@ impl Dispatch<World> for FailureEvent {
     }
 }
 
-struct World {
-    store: UnboundedStore,
+/// The failure driver: the outage schedule and the origin's retry queue
+/// around one invalidation-protocol [`CacheNode`].
+struct World<'w> {
+    node: CacheNode<UnboundedStore>,
     server: OriginServer,
+    classes: &'w [usize],
+    link: LinkModel,
     retry: RetryQueue,
     outages: Vec<Outage>,
-    traffic: TrafficMeter,
-    stats: CacheStats,
-    failed_attempts_seen: u64,
+    /// Notices sent into a dead channel: wire traffic no cache received.
+    failed_traffic: TrafficMeter,
     late_deliveries: u64,
-    stale_age_total: simcore::SimDuration,
 }
 
-impl World {
+impl World<'_> {
     fn channel_down(&self, now: SimTime) -> bool {
         self.outages.iter().any(|o| now >= o.from && now < o.until)
     }
 
-    fn deliver_invalidation(&mut self, file: FileId, now: SimTime) {
-        self.traffic.add_message(httpsim::PAPER_MESSAGE_BYTES);
-        if let Some(e) = self.store.access(file, now) {
-            e.mark_invalid();
+    /// Reflect current reachability into the retry queue.
+    fn track_channel(&mut self, now: SimTime) {
+        if self.channel_down(now) {
+            self.retry.mark_down(THE_CACHE);
+        } else {
+            self.retry.mark_up(THE_CACHE);
         }
     }
 
@@ -105,93 +111,63 @@ impl World {
         &mut self,
         file: FileId,
         now: SimTime,
-        sched: &mut Scheduler<World, FailureEvent>,
+        sched: &mut Scheduler<Self, FailureEvent>,
     ) {
         for cache in self.server.notify_modification(file) {
             debug_assert_eq!(cache, THE_CACHE);
-            // Reflect current reachability into the retry queue.
-            if self.channel_down(now) {
-                self.retry.mark_down(THE_CACHE);
-            } else {
-                self.retry.mark_up(THE_CACHE);
-            }
+            self.track_channel(now);
             if self.retry.send(THE_CACHE, file, now) {
-                self.deliver_invalidation(file, now);
+                self.node.on_invalidate(file, now, PAPER_MESSAGE_BYTES);
             } else {
                 // Message attempt went onto the wire and failed.
-                self.traffic.add_message(httpsim::PAPER_MESSAGE_BYTES);
+                self.failed_traffic.add_message(PAPER_MESSAGE_BYTES);
                 self.schedule_retry(sched);
             }
         }
     }
 
-    fn schedule_retry(&mut self, sched: &mut Scheduler<World, FailureEvent>) {
+    fn schedule_retry(&mut self, sched: &mut Scheduler<Self, FailureEvent>) {
         if let Some(at) = self.retry.next_attempt() {
             let at = at.max(sched.now());
             sched.schedule_event_at(at, FailureEvent::Retry);
         }
     }
 
-    fn on_retry(&mut self, now: SimTime, sched: &mut Scheduler<World, FailureEvent>) {
-        if self.channel_down(now) {
-            self.retry.mark_down(THE_CACHE);
-        } else {
-            self.retry.mark_up(THE_CACHE);
-        }
+    fn on_retry(&mut self, now: SimTime, sched: &mut Scheduler<Self, FailureEvent>) {
+        self.track_channel(now);
         let report = self.retry.sweep(now);
-        self.failed_attempts_seen += report.failed_attempts;
-        self.traffic.message_bytes += report.failed_attempts * httpsim::PAPER_MESSAGE_BYTES;
-        self.traffic.messages += report.failed_attempts;
+        self.failed_traffic.message_bytes += report.failed_attempts * PAPER_MESSAGE_BYTES;
+        self.failed_traffic.messages += report.failed_attempts;
         for (_, file) in report.delivered {
             self.late_deliveries += 1;
-            self.deliver_invalidation(file, now);
+            self.node.on_invalidate(file, now, PAPER_MESSAGE_BYTES);
         }
         self.schedule_retry(sched);
     }
 
     fn on_request(&mut self, file: FileId, now: SimTime) {
-        match self.store.access(file, now).copied() {
-            Some(e) if e.is_valid() => {
-                // Invalidation-protocol cache side: valid until notified.
-                let live = self
-                    .server
-                    .files()
-                    .get(file)
-                    .version_at(now)
-                    .expect("requested file exists");
-                if live.modified_at == e.last_modified {
-                    self.stats.fresh_hits += 1;
-                } else {
-                    // The notice is stuck behind the partition.
-                    self.stats.stale_hits += 1;
-                    if let Some(missed) = self
-                        .server
-                        .files()
-                        .get(file)
-                        .first_change_after(e.last_modified)
-                    {
-                        self.stale_age_total = self
-                            .stale_age_total
-                            .saturating_add(now.saturating_since(missed.modified_at));
-                    }
-                }
+        // Invalidation-protocol cache side: valid until notified, so a
+        // notice stuck behind the partition is served stale. Only full
+        // fetches ever go upstream.
+        let class = self.classes[file.index()];
+        let mut step = self.node.on_request(file, class, now);
+        while let Step::Get { subscribe } = step {
+            let v = self.server.handle_get(file, now);
+            if subscribe {
+                self.server.subscribe(THE_CACHE, file);
             }
-            resident => {
-                let v = self.server.handle_get(file, now);
-                self.traffic.add_message(httpsim::PAPER_MESSAGE_BYTES);
-                self.traffic.add_file_transfer(v.size);
-                self.stats.misses += 1;
-                match resident {
-                    Some(_) => {
-                        let e = self.store.access(file, now).expect("resident");
-                        e.replace_body(v.size, v.modified_at, now);
-                    }
-                    None => {
-                        self.store
-                            .insert(file, EntryMeta::fresh(v.size, v.modified_at, now));
-                        self.server.subscribe(THE_CACHE, file);
-                    }
-                }
+            let reply = Reply::Body {
+                last_modified: v.modified_at,
+                size: v.size,
+                expires: None,
+            };
+            let cost = Exchange {
+                message_bytes: PAPER_MESSAGE_BYTES,
+                delay: self.link.delay_for(v.size),
+            };
+            match self.node.on_reply(file, class, now, step, reply, cost) {
+                Commit::Done(_) => return,
+                Commit::Again(next) => step = next,
             }
         }
     }
@@ -201,28 +177,31 @@ impl World {
 /// channel down during `outages`.
 pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> PartitionedResult {
     debug_assert_eq!(workload.validate(), Ok(()));
+    let link = LinkModel::default();
     let mut world = World {
-        store: UnboundedStore::new(),
+        node: CacheNode::new(UnboundedStore::new(), Box::new(NeverExpire), NoopProbe)
+            .with_invalidation(true)
+            .with_link(link)
+            .with_oracle(Arc::clone(&workload.population)),
         server: OriginServer::new(Arc::clone(&workload.population)),
+        classes: &workload.classes,
+        link,
         retry: RetryQueue::new(RETRY_BASE, RETRY_CAP),
         outages: outages.to_vec(),
-        traffic: TrafficMeter::default(),
-        stats: CacheStats::default(),
-        failed_attempts_seen: 0,
+        failed_traffic: TrafficMeter::default(),
         late_deliveries: 0,
-        stale_age_total: simcore::SimDuration::ZERO,
     };
     // Preload, as the main simulator does.
     for (id, rec) in workload.population.iter() {
         if let Some(v) = rec.version_at(workload.start) {
-            world
-                .store
-                .insert(id, EntryMeta::fresh(v.size, v.modified_at, workload.start));
             world.server.subscribe(THE_CACHE, id);
+            world
+                .node
+                .preload(id, EntryMeta::fresh(v.size, v.modified_at, workload.start));
         }
     }
 
-    let mut sim: Simulation<World, FailureEvent> = Simulation::new(world);
+    let mut sim: Simulation<World<'_>, FailureEvent> = Simulation::new(world);
     for (t, f) in workload.population.all_modifications() {
         if t >= workload.start && t <= workload.end {
             sim.scheduler()
@@ -236,16 +215,18 @@ pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> 
     sim.run_to_completion();
     let world = sim.into_world();
 
+    let mut traffic = *world.node.traffic();
+    traffic.merge(&world.failed_traffic);
     // The initial failed sends are counted inside RetryQueue; surface the
     // total (initial + sweep failures).
     let failed_attempts = world.retry.failed_attempts();
     PartitionedResult {
         result: RunResult {
             protocol: "Invalidation (partitioned)".to_string(),
-            traffic: world.traffic,
-            cache: world.stats,
+            traffic,
+            cache: *world.node.stats(),
             server: *world.server.load(),
-            stale_age_total: world.stale_age_total,
+            stale_age_total: world.node.stale_age_total(),
         },
         failed_attempts,
         late_deliveries: world.late_deliveries,

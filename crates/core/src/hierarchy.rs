@@ -19,24 +19,26 @@
 
 use std::sync::Arc;
 
-use consistency::Policy;
-use httpsim::MessageCosting;
+use consistency::{CacheNode, Commit, Exchange, LinkModel, Reply, Step};
+use httpsim::{HttpDate, MessageCosting};
 use originserver::FilePopulation;
-use proxycache::{EntryMeta, HierarchyTopology, Store, UnboundedStore};
+use proxycache::{EntryMeta, HierarchyTopology, UnboundedStore};
 use simcore::{CacheId, FileId, SimTime, TrafficMeter};
+use wcc_obs::NoopProbe;
 
 use crate::protocol::ProtocolSpec;
 
-/// A hierarchy of caches replaying scripted events.
+/// A hierarchy of caches replaying scripted events: one [`CacheNode`] per
+/// cache, each asking its parent (the root asks the origin).
 pub struct HierarchySim {
     topo: HierarchyTopology,
-    stores: Vec<UnboundedStore>,
+    nodes: Vec<CacheNode<UnboundedStore>>,
     population: Arc<FilePopulation>,
-    policy: Box<dyn Policy>,
+    /// Per-file content class handed to the policy (empty ⇒ class 0).
+    classes: Vec<usize>,
     uses_invalidation: bool,
     costing: MessageCosting,
-    /// Total bytes moved on every link (cache↔cache and root↔server).
-    pub traffic: TrafficMeter,
+    link: LinkModel,
     /// Requests answered with data older than the origin's copy.
     pub stale_serves: u64,
 }
@@ -48,39 +50,49 @@ impl HierarchySim {
         population: impl Into<Arc<FilePopulation>>,
         spec: ProtocolSpec,
     ) -> Self {
-        let stores = (0..topo.len()).map(|_| UnboundedStore::new()).collect();
+        let population = population.into();
+        let link = LinkModel::default();
+        let nodes = topo
+            .caches()
+            .map(|_| {
+                CacheNode::new(UnboundedStore::new(), spec.build_policy(), NoopProbe)
+                    .with_invalidation(spec.uses_invalidation())
+                    .with_link(link)
+                    .with_oracle(Arc::clone(&population))
+            })
+            .collect();
         HierarchySim {
             topo,
-            stores,
-            population: population.into(),
-            policy: spec.build_policy(),
+            nodes,
+            population,
+            classes: Vec::new(),
             uses_invalidation: spec.uses_invalidation(),
             costing: MessageCosting::PaperConstant,
-            traffic: TrafficMeter::default(),
+            link,
             stale_serves: 0,
         }
     }
 
+    /// Total bytes moved on every link (cache↔cache and root↔server):
+    /// each cache's node meters the link to its upstream.
+    pub fn traffic(&self) -> TrafficMeter {
+        let mut total = TrafficMeter::default();
+        for node in &self.nodes {
+            total.merge(node.traffic());
+        }
+        total
+    }
+
     /// Pre-load every cache with the version of `file` live at `now`
-    /// (uncharged), subscribing the tree for the invalidation protocol.
+    /// (uncharged; the invalidation flood reaches every cache).
     pub fn preload(&mut self, file: FileId, now: SimTime) {
         let v = self
             .population
             .get(file)
             .version_at(now)
             .expect("preload before creation");
-        for cache in self.topo.caches() {
-            self.stores[cache.index()].insert(
-                file,
-                EntryMeta {
-                    size: v.size,
-                    last_modified: v.modified_at,
-                    fetched_at: now,
-                    last_validated: now,
-                    expires: None,
-                    state: proxycache::EntryState::Valid,
-                },
-            );
+        for node in &mut self.nodes {
+            node.preload(file, EntryMeta::fresh(v.size, v.modified_at, now));
         }
     }
 
@@ -98,18 +110,13 @@ impl HierarchySim {
         if !self.uses_invalidation {
             return;
         }
-        // Borrow the path out of the shared population (refcount bump, no
-        // string copy) so the flood below can mutate the rest of `self`.
-        let pop = Arc::clone(&self.population);
-        let path = &pop.get(file).path;
+        let bytes = self
+            .costing
+            .invalidation_message(&self.population.get(file).path);
         // Server -> root, then each cache -> its children.
         let mut frontier = vec![self.topo.root()];
         while let Some(cache) = frontier.pop() {
-            self.traffic
-                .add_message(self.costing.invalidation_message(path));
-            if let Some(e) = self.stores[cache.index()].access(file, now) {
-                e.mark_invalid();
-            }
+            self.nodes[cache.index()].on_invalidate(file, now, bytes);
             frontier.extend(self.children(cache));
         }
     }
@@ -128,70 +135,57 @@ impl HierarchySim {
         }
     }
 
-    /// Make `cache` hold a servable copy of `file`, recursing upward.
-    /// Returns `(last_modified, size)` of what this cache now serves.
+    /// Make `cache` serve `file`, asking upstream as its node directs.
+    /// Returns `(last_modified, size)` of what this cache serves.
     fn obtain(&mut self, cache: CacheId, file: FileId, now: SimTime) -> (SimTime, u64) {
-        let resident = self.stores[cache.index()].access(file, now).copied();
-        if let Some(e) = resident {
-            if self
-                .policy
-                .decide(&e, &consistency::RequestCtx::new(now, 0))
-                .serves_locally()
-            {
-                return (e.last_modified, e.size);
-            }
-            // Expired or invalidated: consult upstream with a conditional
-            // GET (or, for the invalidation protocol, a plain refetch —
-            // the copy is known stale).
+        let class = self.classes.get(file.index()).copied().unwrap_or(0);
+        let mut step = self.nodes[cache.index()].on_request(file, class, now);
+        loop {
+            let since = match step {
+                Step::Serve(entry) => return (entry.last_modified, entry.size),
+                Step::ConditionalGet { since } => Some(since),
+                Step::Forward | Step::Get { .. } => None,
+            };
             let (up_lm, up_size) = self.upstream_version(cache, file, now);
-            let pop = Arc::clone(&self.population);
-            let path = &pop.get(file).path;
-            if !self.uses_invalidation && up_lm == e.last_modified {
+            let path = &self.population.get(file).path;
+            let (reply, message_bytes, moved) = if since == Some(up_lm) {
                 // 304 on this hop.
-                self.traffic.add_message(self.costing.validation_exchange(
+                let bytes = self.costing.validation_exchange(
                     path,
-                    httpsim::HttpDate(e.last_modified.as_secs()),
-                    httpsim::HttpDate(now.as_secs()),
-                ));
-                self.stores[cache.index()]
-                    .access(file, now)
-                    .expect("resident")
-                    .revalidate(now);
-                return (up_lm, up_size);
+                    HttpDate(up_lm.as_secs()),
+                    HttpDate(now.as_secs()),
+                );
+                (Reply::NotModified { expires: None }, bytes, 0)
+            } else {
+                // Body moves down this hop.
+                let bytes = self.costing.fetch_overhead(
+                    path,
+                    since.map(|s| HttpDate(s.as_secs())),
+                    HttpDate(now.as_secs()),
+                    HttpDate(up_lm.as_secs()),
+                    up_size,
+                );
+                let body = Reply::Body {
+                    last_modified: up_lm,
+                    size: up_size,
+                    expires: None,
+                };
+                (body, bytes, up_size)
+            };
+            let cost = Exchange {
+                message_bytes,
+                delay: self.link.delay_for(moved),
+            };
+            match self.nodes[cache.index()].on_reply(file, class, now, step, reply, cost) {
+                Commit::Done(_) => return (up_lm, up_size),
+                Commit::Again(next) => step = next,
             }
-            // Body moves down this hop.
-            self.traffic.add_message(self.costing.fetch_overhead(
-                path,
-                None,
-                httpsim::HttpDate(now.as_secs()),
-                httpsim::HttpDate(up_lm.as_secs()),
-                up_size,
-            ));
-            self.traffic.add_file_transfer(up_size);
-            self.stores[cache.index()]
-                .access(file, now)
-                .expect("resident")
-                .replace_body(up_size, up_lm, now);
-            return (up_lm, up_size);
         }
-        // Not resident: full fetch from upstream.
-        let (up_lm, up_size) = self.upstream_version(cache, file, now);
-        let pop = Arc::clone(&self.population);
-        let path = &pop.get(file).path;
-        self.traffic.add_message(self.costing.fetch_overhead(
-            path,
-            None,
-            httpsim::HttpDate(now.as_secs()),
-            httpsim::HttpDate(up_lm.as_secs()),
-            up_size,
-        ));
-        self.traffic.add_file_transfer(up_size);
-        self.stores[cache.index()].insert(file, EntryMeta::fresh(up_size, up_lm, now));
-        (up_lm, up_size)
     }
 
-    /// What the upstream of `cache` serves: the parent cache (recursively
-    /// obtained) or, for the root, the origin itself.
+    /// What the upstream of `cache` serves, as `(last_modified, size)`:
+    /// the parent cache (recursively obtained) or, for the root, the
+    /// origin itself.
     fn upstream_version(&mut self, cache: CacheId, file: FileId, now: SimTime) -> (SimTime, u64) {
         match self.topo.parent(cache) {
             Some(parent) => self.obtain(parent, file, now),
@@ -260,6 +254,7 @@ pub fn replay_workload(
     debug_assert_eq!(workload.validate(), Ok(()));
     let leaves = topo.leaves();
     let mut sim = HierarchySim::new(topo, workload.population.clone(), spec);
+    sim.classes.clone_from(&workload.classes);
     for (id, _) in workload.population.iter() {
         if workload
             .population
@@ -291,7 +286,7 @@ pub fn replay_workload(
         mi += 1;
     }
     let requests = workload.request_count() as u64;
-    (sim.traffic, sim.stale_serves, requests)
+    (sim.traffic(), sim.stale_serves, requests)
 }
 
 /// One Figure 1 scenario, measured on both topologies and both protocol
@@ -361,7 +356,7 @@ pub fn figure1_scenarios() -> Vec<Figure1Row> {
                 if let Some(at) = access_at {
                     sim.request(leaf_a, f, at);
                 }
-                sim.traffic.total_bytes()
+                sim.traffic().total_bytes()
             };
             Figure1Row {
                 scenario: label,
@@ -383,6 +378,7 @@ pub fn figure1_scenarios() -> Vec<Figure1Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proxycache::Store;
 
     fn rows() -> Vec<Figure1Row> {
         figure1_scenarios()
@@ -458,7 +454,7 @@ mod tests {
         sim.preload(f, t0);
         sim.request(a, f, t2);
         assert_eq!(sim.stale_serves, 1);
-        assert_eq!(sim.traffic.total_bytes(), 0);
+        assert_eq!(sim.traffic().total_bytes(), 0);
     }
 
     #[test]
@@ -477,8 +473,8 @@ mod tests {
         sim.request(a, f, t2);
         // Both the root and the leaf were invalid: the body moves twice
         // (server->root, root->leaf).
-        assert_eq!(sim.traffic.file_transfers, 2);
-        assert_eq!(sim.traffic.file_bytes, 12_000);
+        assert_eq!(sim.traffic().file_transfers, 2);
+        assert_eq!(sim.traffic().file_bytes, 12_000);
         assert_eq!(sim.stale_serves, 0);
     }
 
@@ -495,15 +491,53 @@ mod tests {
         let leaf = topo.add_child(topo.root());
         let mut sim = HierarchySim::new(topo, pop, ProtocolSpec::Ttl(1_000));
         sim.preload(f, t0);
-        sim.stores[leaf.index()]
+        sim.nodes[leaf.index()]
+            .store_mut()
             .access(f, t0)
             .unwrap()
             .mark_invalid();
         sim.request(leaf, f, t2);
-        assert_eq!(sim.traffic.file_transfers, 0);
-        assert_eq!(sim.traffic.messages, 1);
+        assert_eq!(sim.traffic().file_transfers, 0);
+        assert_eq!(sim.traffic().messages, 1);
         assert_eq!(sim.stale_serves, 0);
         // The leaf's entry is valid again.
-        assert!(sim.stores[leaf.index()].peek(f).unwrap().is_valid());
+        assert!(sim.nodes[leaf.index()].store().peek(f).unwrap().is_valid());
+    }
+
+    #[test]
+    fn collapsed_hierarchy_matches_the_flat_simulator() {
+        // One cache is one cache: the collapsed hierarchy and the flat
+        // simulator must run the same request logic, delay and feedback
+        // included. Same-instant requests are dropped so the flat
+        // simulator's by-file-id tie order cannot matter.
+        use crate::sim::{run, SimConfig};
+        use crate::workload::{generate_synthetic, WorrellConfig};
+        let mut wl = generate_synthetic(&WorrellConfig::scaled(120, 4_000), 31);
+        wl.requests.dedup_by_key(|(t, _)| *t);
+        for spec in [
+            ProtocolSpec::RenewableTtl(24),
+            ProtocolSpec::UpdateRisk(5),
+            ProtocolSpec::Ttl(24),
+            ProtocolSpec::Alex(20),
+        ] {
+            let flat = run(&wl, spec, &SimConfig::optimized());
+            let (traffic, stale_serves, _) = replay_workload(
+                HierarchyTopology::new(),
+                &wl,
+                spec,
+                LeafAssignment::Symmetric,
+            );
+            let label = spec.label();
+            assert_eq!(stale_serves, flat.cache.stale_hits, "{label}: stale serves");
+            assert_eq!(
+                traffic.file_transfers, flat.traffic.file_transfers,
+                "{label}: file transfers"
+            );
+            assert_eq!(
+                traffic.file_bytes, flat.traffic.file_bytes,
+                "{label}: file bytes"
+            );
+            assert_eq!(traffic.messages, flat.traffic.messages, "{label}: messages");
+        }
     }
 }

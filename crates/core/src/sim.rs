@@ -21,27 +21,19 @@
 
 use std::sync::Arc;
 
-use consistency::{LinkModel, Policy, RequestCtx};
+use consistency::{CacheNode, Commit, Exchange, LinkModel, Reply, Step};
 use httpsim::{HttpDate, MessageCosting, EPOCH_1996};
-use originserver::{CondResult, OriginServer};
-use proxycache::{EntryMeta, Store};
+use originserver::{CondResult, OriginServer, Version};
+use proxycache::{EntryMeta, Evicted, Store};
 use simcore::{
     CacheId, CacheStats, Dispatch, FileId, Scheduler, ServerLoad, SimTime, Simulation, TrafficMeter,
 };
-use wcc_obs::{ObsEvent, Probe, RequestOutcome, ServerOpKind};
+use wcc_obs::{ObsEvent, Probe, ServerOpKind};
 
 use crate::protocol::ProtocolSpec;
 use crate::workload::Workload;
 
-/// What happens when an expired (but resident) entry is requested.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetrievalMode {
-    /// Base simulator: refetch the full file unconditionally.
-    Eager,
-    /// Optimized simulator: issue `If-Modified-Since`; transfer the body
-    /// only when the object truly changed.
-    Conditional,
-}
+pub use consistency::RetrievalMode;
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,10 +51,11 @@ pub struct SimConfig {
     /// forwarded them uncached.
     pub uncacheable_mask: u32,
     /// The access-link model that prices fetch/validation delay, threaded
-    /// into every [`RequestCtx`] and [`Policy::on_fetch`] call. The
-    /// paper's protocols ignore it (their decisions are delay-blind), so
-    /// changing it cannot perturb their results; the delay-aware policies
-    /// (RenewableTTL, UpdateRisk) read it.
+    /// into every [`consistency::RequestCtx`] and
+    /// [`consistency::Policy::on_fetch`] call. The paper's protocols
+    /// ignore it (their decisions are delay-blind), so changing it cannot
+    /// perturb their results; the delay-aware policies (RenewableTTL,
+    /// UpdateRisk) read it.
     pub link: LinkModel,
 }
 
@@ -227,51 +220,24 @@ impl RunResult {
     }
 }
 
+/// The flat simulator's driver: the event schedule and the origin around
+/// one [`CacheNode`], which runs the request logic itself.
 struct World<'w, S: Store> {
-    store: S,
+    node: CacheNode<S, &'w mut dyn Probe>,
     server: OriginServer,
-    policy: Box<dyn Policy>,
-    probe: &'w mut dyn Probe,
     classes: &'w [usize],
     class_expires: &'w [Option<simcore::SimDuration>],
-    retrieval: RetrievalMode,
     costing: MessageCosting,
-    uncacheable_mask: u32,
     link: LinkModel,
-    uses_invalidation: bool,
-    traffic: TrafficMeter,
-    stats: CacheStats,
-    stale_age_total: simcore::SimDuration,
-    evictions: u64,
 }
 
 const THE_CACHE: CacheId = CacheId(0);
 
+fn wall(t: SimTime) -> HttpDate {
+    HttpDate(EPOCH_1996.0 + t.as_secs())
+}
+
 impl<S: Store> World<'_, S> {
-    fn wall(&self, t: SimTime) -> HttpDate {
-        HttpDate(EPOCH_1996.0 + t.as_secs())
-    }
-
-    /// Insert an entry, processing any evictions a bounded store makes:
-    /// evicted objects lose their invalidation subscription (the server
-    /// must not notify caches that no longer hold the object).
-    fn insert_entry(&mut self, file: FileId, meta: EntryMeta) {
-        let at = meta.fetched_at;
-        for (victim, _) in self.store.insert(file, meta) {
-            if victim != file {
-                self.evictions += 1;
-                self.probe.record(at, ObsEvent::Eviction { file: victim });
-            }
-            if self.uses_invalidation {
-                self.server.unsubscribe(THE_CACHE, victim);
-            }
-        }
-    }
-
-    fn is_uncacheable(&self, class: usize) -> bool {
-        class < 32 && self.uncacheable_mask & (1 << class) != 0
-    }
-
     fn origin_expiry(&self, class: usize, now: SimTime) -> Option<SimTime> {
         self.class_expires
             .get(class)
@@ -280,13 +246,31 @@ impl<S: Store> World<'_, S> {
             .map(|d| now.saturating_add(d))
     }
 
+    fn record(&mut self, now: SimTime, event: ObsEvent) {
+        self.node.probe_mut().record(now, event);
+    }
+
+    fn server_op(&mut self, now: SimTime, kind: ServerOpKind) {
+        self.record(now, ObsEvent::ServerOp { kind });
+    }
+
+    /// Drop the origin's subscriptions for entries the cache no longer
+    /// holds: the server must not notify caches that lost the object.
+    fn unsubscribe(&mut self, evicted: Evicted) {
+        if self.node.uses_invalidation() {
+            for (victim, _) in evicted {
+                self.server.unsubscribe(THE_CACHE, victim);
+            }
+        }
+    }
+
     fn on_modification(&mut self, file: FileId, now: SimTime) {
-        self.probe.record(now, ObsEvent::Modification { file });
-        if !self.uses_invalidation {
+        self.record(now, ObsEvent::Modification { file });
+        if !self.node.uses_invalidation() {
             return;
         }
         let targets = self.server.notify_modification(file);
-        self.probe.record(
+        self.record(
             now,
             ObsEvent::Invalidation {
                 file,
@@ -295,259 +279,83 @@ impl<S: Store> World<'_, S> {
         );
         for cache in targets {
             debug_assert_eq!(cache, THE_CACHE);
-            self.probe.record(
-                now,
-                ObsEvent::ServerOp {
-                    kind: ServerOpKind::InvalidationSent,
-                },
-            );
-            self.traffic.add_message(
-                self.costing
-                    .invalidation_message(&self.server.files().get(file).path),
-            );
-            if let Some(entry) = self.store.access(file, now) {
-                entry.mark_invalid();
-            }
-        }
-    }
-
-    fn fetch_full(&mut self, file: FileId, now: SimTime, since: Option<SimTime>) {
-        let class = self.classes[file.index()];
-        let v = self.server.handle_get(file, now);
-        self.probe.record(
-            now,
-            ObsEvent::ServerOp {
-                kind: ServerOpKind::DocumentRequest,
-            },
-        );
-        let overhead = self.costing.fetch_overhead(
-            &self.server.files().get(file).path,
-            since.map(|s| self.wall(s)),
-            self.wall(now),
-            self.wall(v.modified_at),
-            v.size,
-        );
-        self.traffic.add_message(overhead);
-        self.traffic.add_file_transfer(v.size);
-        self.policy.on_fetch(class, self.link.delay_for(v.size));
-        self.stats.misses += 1;
-        if self.is_uncacheable(class) {
-            // Dynamic content is forwarded, never stored.
-            self.store.remove(file);
-            return;
-        }
-        let expires = self.origin_expiry(class, now);
-        match self.store.access(file, now).copied() {
-            Some(mut entry) => {
-                entry.replace_body(v.size, v.modified_at, now);
-                entry.expires = expires;
-                // Reinsert rather than mutate in place: bounded stores
-                // track resident bytes at insert time, and the new body
-                // may not be the same size as the old one.
-                self.insert_entry(file, entry);
-            }
-            None => {
-                let mut fresh = EntryMeta::fresh(v.size, v.modified_at, now);
-                fresh.expires = expires;
-                if self.uses_invalidation {
-                    self.server.subscribe(THE_CACHE, file);
-                }
-                self.insert_entry(file, fresh);
-                // A rejected oversized insert leaves no resident copy and
-                // must not stay subscribed; insert_entry unsubscribed it.
-            }
+            self.server_op(now, ServerOpKind::InvalidationSent);
+            let bytes = self
+                .costing
+                .invalidation_message(&self.server.files().get(file).path);
+            self.node.on_invalidate(file, now, bytes);
         }
     }
 
     fn on_request(&mut self, file: FileId, now: SimTime) {
         let class = self.classes[file.index()];
-        if self.is_uncacheable(class) {
-            self.probe.record(
-                now,
-                ObsEvent::Request {
-                    file,
-                    outcome: RequestOutcome::Uncacheable,
-                },
-            );
-            self.fetch_full(file, now, None);
-            return;
-        }
-        let Some(entry) = self.store.access(file, now).copied() else {
-            // Compulsory miss: the cache has never seen this object.
-            self.probe.record(
-                now,
-                ObsEvent::Request {
-                    file,
-                    outcome: RequestOutcome::Miss,
-                },
-            );
-            self.fetch_full(file, now, None);
-            return;
-        };
-
-        // The decision seam: one call carrying everything the policy may
-        // weigh — the instant, the content class, and what refreshing this
-        // entry would cost over the modeled link. Legacy policies fold
-        // `entry.is_valid()` into their expiry check (`decide_by_expiry`),
-        // so this is bit-identical with the old
-        // `is_valid() && is_fresh(...)` conjunction.
-        let ctx = RequestCtx::new(now, class).with_delay(self.link.delay_for(entry.size));
-        let fresh = self.policy.decide(&entry, &ctx).serves_locally();
-        self.probe
-            .record(now, ObsEvent::PolicyDecision { file, fresh });
-        if fresh {
-            // Served locally; classify against the live origin version.
-            let live = self
-                .server
-                .files()
-                .get(file)
-                .version_at(now)
-                .expect("requested file exists");
-            if live.modified_at == entry.last_modified {
-                self.stats.fresh_hits += 1;
-                self.probe.record(
-                    now,
-                    ObsEvent::Request {
-                        file,
-                        outcome: RequestOutcome::FreshHit,
-                    },
-                );
-            } else {
-                self.stats.stale_hits += 1;
-                // Severity: how long the served copy has been out of date
-                // (time since the first change it missed).
-                let mut age = simcore::SimDuration::ZERO;
-                if let Some(missed) = self
-                    .server
-                    .files()
-                    .get(file)
-                    .first_change_after(entry.last_modified)
-                {
-                    age = now.saturating_since(missed.modified_at);
-                    self.stale_age_total = self.stale_age_total.saturating_add(age);
+        let mut step = self.node.on_request(file, class, now);
+        loop {
+            let (reply, cost) = match step {
+                Step::Serve(_) => return,
+                Step::Forward | Step::Get { .. } => {
+                    let v = self.server.handle_get(file, now);
+                    self.server_op(now, ServerOpKind::DocumentRequest);
+                    if matches!(step, Step::Get { subscribe: true }) {
+                        self.server.subscribe(THE_CACHE, file);
+                    }
+                    self.body(file, class, now, None, v)
                 }
-                self.probe.record(
-                    now,
-                    ObsEvent::Request {
-                        file,
-                        outcome: RequestOutcome::StaleHit { age },
-                    },
-                );
-            }
-            return;
-        }
-
-        // Expired (time-based protocols) or marked invalid (invalidation
-        // protocol). An invalidated entry is *known* stale — conditional
-        // retrieval would be a wasted round-trip — so the invalidation
-        // protocol always refetches, as does the base (eager) simulator.
-        if self.uses_invalidation || self.retrieval == RetrievalMode::Eager {
-            let changed = {
-                let live = self
-                    .server
-                    .files()
-                    .get(file)
-                    .version_at(now)
-                    .expect("requested file exists");
-                live.modified_at != entry.last_modified
+                Step::ConditionalGet { since } => {
+                    // Combined query-and-fetch via If-Modified-Since.
+                    self.server_op(now, ServerOpKind::ValidationQuery);
+                    match self.server.handle_conditional_get(file, since, now) {
+                        CondResult::NotModified => (
+                            Reply::NotModified {
+                                expires: self.origin_expiry(class, now),
+                            },
+                            Exchange {
+                                message_bytes: self.costing.validation_exchange(
+                                    &self.server.files().get(file).path,
+                                    wall(since),
+                                    wall(now),
+                                ),
+                                // A 304 moves no body: the bare round trip.
+                                delay: self.link.delay_for(0),
+                            },
+                        ),
+                        CondResult::Modified(v) => self.body(file, class, now, Some(since), v),
+                    }
+                }
             };
-            self.policy.on_validation(class, changed);
-            self.probe.record(
-                now,
-                ObsEvent::Validation {
-                    file,
-                    modified: changed,
-                },
-            );
-            self.probe.record(
-                now,
-                ObsEvent::Request {
-                    file,
-                    outcome: RequestOutcome::Miss,
-                },
-            );
-            self.fetch_full(file, now, None);
-            return;
+            match self.node.on_reply(file, class, now, step, reply, cost) {
+                Commit::Done(evicted) => return self.unsubscribe(evicted),
+                Commit::Again(next) => step = next,
+            }
         }
+    }
 
-        // Optimized path: combined query-and-fetch via If-Modified-Since.
-        self.probe.record(
-            now,
-            ObsEvent::ServerOp {
-                kind: ServerOpKind::ValidationQuery,
+    /// The origin's `200` carrying version `v`, priced.
+    fn body(
+        &self,
+        file: FileId,
+        class: usize,
+        now: SimTime,
+        since: Option<SimTime>,
+        v: Version,
+    ) -> (Reply, Exchange) {
+        (
+            Reply::Body {
+                last_modified: v.modified_at,
+                size: v.size,
+                expires: self.origin_expiry(class, now),
             },
-        );
-        match self
-            .server
-            .handle_conditional_get(file, entry.last_modified, now)
-        {
-            CondResult::NotModified => {
-                self.traffic.add_message(self.costing.validation_exchange(
+            Exchange {
+                message_bytes: self.costing.fetch_overhead(
                     &self.server.files().get(file).path,
-                    self.wall(entry.last_modified),
-                    self.wall(now),
-                ));
-                self.stats.validations_not_modified += 1;
-                self.stats.fresh_hits += 1;
-                self.policy.on_validation(class, false);
-                // A 304 moves no body: the exchange costs the bare round
-                // trip, which delay-aware policies fold into their
-                // per-class delay estimate.
-                self.policy.on_fetch(class, self.link.delay_for(0));
-                self.probe.record(
-                    now,
-                    ObsEvent::Validation {
-                        file,
-                        modified: false,
-                    },
-                );
-                self.probe.record(
-                    now,
-                    ObsEvent::Request {
-                        file,
-                        outcome: RequestOutcome::ValidatedFresh,
-                    },
-                );
-                let expires = self.origin_expiry(class, now);
-                let entry = self.store.access(file, now).expect("entry is resident");
-                entry.revalidate(now);
-                entry.expires = expires;
-            }
-            CondResult::Modified(v) => {
-                let overhead = self.costing.fetch_overhead(
-                    &self.server.files().get(file).path,
-                    Some(self.wall(entry.last_modified)),
-                    self.wall(now),
-                    self.wall(v.modified_at),
+                    since.map(wall),
+                    wall(now),
+                    wall(v.modified_at),
                     v.size,
-                );
-                self.traffic.add_message(overhead);
-                self.traffic.add_file_transfer(v.size);
-                self.policy.on_fetch(class, self.link.delay_for(v.size));
-                self.stats.validations_modified += 1;
-                self.stats.misses += 1;
-                self.policy.on_validation(class, true);
-                self.probe.record(
-                    now,
-                    ObsEvent::Validation {
-                        file,
-                        modified: true,
-                    },
-                );
-                self.probe.record(
-                    now,
-                    ObsEvent::Request {
-                        file,
-                        outcome: RequestOutcome::ValidatedStale,
-                    },
-                );
-                let expires = self.origin_expiry(class, now);
-                let mut entry = *self.store.access(file, now).expect("entry is resident");
-                entry.replace_body(v.size, v.modified_at, now);
-                entry.expires = expires;
-                self.insert_entry(file, entry);
-            }
-        }
+                ),
+                delay: self.link.delay_for(v.size),
+            },
+        )
     }
 }
 
@@ -636,50 +444,38 @@ pub(crate) fn run_with_store_probe<'w, S: Store>(
     probe: &'w mut dyn Probe,
 ) -> (RunResult, u64) {
     debug_assert_eq!(workload.validate(), Ok(()));
+    let node = CacheNode::new(store, spec.build_policy(), probe)
+        .with_invalidation(spec.uses_invalidation())
+        .with_retrieval(config.retrieval)
+        .with_uncacheable(config.uncacheable_mask)
+        .with_link(config.link)
+        .with_oracle(Arc::clone(&workload.population));
     let mut world = World {
-        store,
+        node,
         server: OriginServer::new(Arc::clone(&workload.population)),
-        policy: spec.build_policy(),
-        probe,
         classes: &workload.classes,
         class_expires: &workload.class_expires,
-        retrieval: config.retrieval,
         costing: config.costing,
-        uncacheable_mask: config.uncacheable_mask,
         link: config.link,
-        uses_invalidation: spec.uses_invalidation(),
-        traffic: TrafficMeter::default(),
-        stats: CacheStats::default(),
-        stale_age_total: simcore::SimDuration::ZERO,
-        evictions: 0,
     };
 
     if config.preload {
         for (id, rec) in workload.population.iter() {
             let class = workload.classes[id.index()];
-            if world.is_uncacheable(class) {
+            if !world.node.caches(class) {
                 continue;
             }
             if let Some(v) = rec.version_at(workload.start) {
-                if world.uses_invalidation {
+                if world.node.uses_invalidation() {
                     world.server.subscribe(THE_CACHE, id);
                 }
-                world.insert_entry(
-                    id,
-                    EntryMeta {
-                        size: v.size,
-                        last_modified: v.modified_at,
-                        fetched_at: workload.start,
-                        last_validated: workload.start,
-                        expires: world.origin_expiry(class, workload.start),
-                        state: proxycache::EntryState::Valid,
-                    },
-                );
+                let mut meta = EntryMeta::fresh(v.size, v.modified_at, workload.start);
+                meta.expires = world.origin_expiry(class, workload.start);
+                let evicted = world.node.preload(id, meta);
+                world.unsubscribe(evicted);
             }
         }
     }
-
-    world.evictions = 0; // preload-time evictions are setup, not workload
 
     // Merge modifications and requests into one schedule; at equal
     // instants a modification precedes a request (a request arriving "at"
@@ -710,7 +506,7 @@ pub(crate) fn run_with_store_probe<'w, S: Store>(
         sim.scheduler().schedule_event_at(t, ev);
     }
     sim.run_to_completion_observed(|world, now, pending| {
-        world.probe.record(
+        world.record(
             now,
             ObsEvent::Dispatched {
                 pending: pending as u32,
@@ -719,8 +515,9 @@ pub(crate) fn run_with_store_probe<'w, S: Store>(
     });
     let world = sim.into_world();
 
+    let node = &world.node;
     debug_assert_eq!(
-        world.stats.requests() as usize,
+        node.stats().requests() as usize,
         workload.request_count(),
         "every request classifies as exactly one of hit/stale/miss"
     );
@@ -728,12 +525,12 @@ pub(crate) fn run_with_store_probe<'w, S: Store>(
     (
         RunResult {
             protocol: spec.label(),
-            traffic: world.traffic,
-            cache: world.stats,
+            traffic: *node.traffic(),
+            cache: *node.stats(),
             server: *world.server.load(),
-            stale_age_total: world.stale_age_total,
+            stale_age_total: node.stale_age_total(),
         },
-        world.evictions,
+        node.evictions(),
     )
 }
 

@@ -10,10 +10,9 @@
 //!   `If-Modified-Since` with `304 Not Modified`, stamps
 //!   `Last-Modified`/`Expires`, and pushes invalidation notices to
 //!   subscribed proxies over persistent control connections.
-//! * [`LiveProxy`] — a caching proxy fronting the origin. Reuses the
-//!   `proxycache` stores, the `consistency::Policy` trait, and the
-//!   `simcore::metrics` accounting types unchanged; its request handling
-//!   is a port of the optimized simulator's, so a single-threaded run is
+//! * [`LiveProxy`] — a caching proxy fronting the origin. Each shard's
+//!   cache is a `consistency::CacheNode`, the request path the
+//!   simulators run too, so a single-threaded run is
 //!   counter-for-counter equivalent to `webcache::run` (the differential
 //!   test in the workspace root pins this). Cache state is sharded by
 //!   [`shard_for`]: each shard owns its own mutex, store, policy

@@ -4,12 +4,13 @@
 //! server speaking the same HTTP/1.0 subset): clients connect to its
 //! data port, and each request is served from the in-memory cache or
 //! fetched/revalidated upstream over a pooled persistent origin
-//! connection. The cache reuses the workspace's existing pieces
-//! unchanged — a `proxycache` store (via [`AnyStore`]), the
-//! `consistency::Policy` trait for freshness, and `simcore::metrics`
-//! for accounting — and its request handling is a line-for-line port of
-//! the optimized simulator's `World::on_request` (conditional
-//! retrieval), so a single-threaded replay produces identical counters.
+//! connection. Each shard's cache is a `consistency::CacheNode` — the
+//! one request path the simulators run too (DESIGN.md §16) — so a
+//! single-threaded replay produces the optimized simulator's counters.
+//! This module is the node's live driver: it resolves paths, performs
+//! the upstream step the node asks for on a pooled socket, keeps bodies
+//! and subscriptions in step with what the node holds, and layers
+//! sharding and single-flight on top.
 //!
 //! **Sharding.** Cache state is split into `shards` independent
 //! [`Shard`]s, routed by [`shard_for`] (`FileId` index modulo the shard
@@ -31,19 +32,18 @@
 //! N duplicate transfers.
 //!
 //! Under the invalidation policy each shard keeps one persistent
-//! control connection to the origin: it subscribes before inserting an
-//! entry (exactly where the simulator calls `subscribe`), unsubscribes
-//! evicted victims, and a dedicated reader thread applies `INVALIDATE`
-//! notices (marking resident entries invalid) before acknowledging.
-//! A file's subscriptions always travel over its owning shard's
-//! channel, so subscribe-before-insert and victim-unsubscribe ordering
-//! are preserved per shard.
+//! control connection to the origin: it subscribes a new entry before
+//! committing it (the node flags the step), unsubscribes the entries a
+//! commit removes, and a dedicated reader thread applies `INVALIDATE`
+//! notices to the node before acknowledging. A file's subscriptions
+//! always travel over its owning shard's channel, so
+//! subscribe-before-insert and victim-unsubscribe ordering are
+//! preserved per shard.
 //!
-//! Locking: a shard's mutex guards that shard's state (store + bodies +
-//! policy + counters) and is only ever held for in-memory work. Workers
-//! copy the entry out, talk to the origin with the lock released, then
-//! re-lock to apply the outcome — the same copy-out/reinsert shape the
-//! simulator uses, which is what makes the port exact.
+//! Locking: a shard's mutex guards that shard's state (node + bodies +
+//! single-flight set) and is only ever held for in-memory work. The node
+//! decides under the lock, the exchange runs with the lock released,
+//! and the reply is committed under it again.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -53,13 +53,14 @@ use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
 use consistency::{
-    AdaptiveTtl, FixedTtl, LinkModel, NeverExpire, Policy, RenewableTtl, RequestCtx, UpdateRisk,
+    AdaptiveTtl, CacheNode, Commit, Exchange, FixedTtl, LinkModel, NeverExpire, Policy,
+    RenewableTtl, Reply, Step, UpdateRisk,
 };
 use httpsim::{Request, Response, Status};
 use originserver::FilePopulation;
-use proxycache::{shard_capacity, AnyStore, EntryMeta, Store};
+use proxycache::{shard_capacity, AnyStore, Evicted, Store};
 use simcore::{CacheStats, FileId, SimDuration, SimTime, TrafficMeter};
-use wcc_obs::{ObsEvent, ProbeHandle, RequestOutcome};
+use wcc_obs::{ObsEvent, ProbeHandle};
 use wcc_sync::{RankedCondvar, RankedGuard, RankedMutex};
 
 use crate::clock::{sim_instant, wall_date, LiveClock};
@@ -307,19 +308,35 @@ pub struct ProxySnapshot {
     pub upstream_saturations: u64,
 }
 
-/// Everything one shard's mutex guards.
+/// Everything one shard's mutex guards: the shard's [`CacheNode`] plus
+/// what only the live stack needs — the bodies and the single-flight set.
+/// `bodies` holds exactly the node's resident entries: every commit
+/// that changes residency is settled under this lock.
 struct CacheState {
-    store: AnyStore,
+    node: CacheNode<AnyStore, ProbeHandle>,
     bodies: HashMap<FileId, Arc<Vec<u8>>>,
-    policy: Box<dyn Policy + Send>,
     /// Files with a single-flight upstream fetch in progress; misses on
     /// these wait on the shard condvar instead of fetching again.
     in_flight: HashSet<FileId>,
-    traffic: TrafficMeter,
-    stats: CacheStats,
-    stale_age_total: SimDuration,
-    invalidations_delivered: u64,
-    evictions: u64,
+}
+
+impl CacheState {
+    /// The client response for the resident copy of `file`.
+    fn serve_local(&self, file: FileId, now: SimTime) -> io::Result<(Response, Arc<Vec<u8>>)> {
+        let (Some(entry), Some(body)) = (self.node.store().peek(file), self.bodies.get(&file))
+        else {
+            return Err(io::Error::other("resident entry without a body"));
+        };
+        let mut resp = Response::ok(
+            wall_date(now),
+            wall_date(entry.last_modified),
+            body.len() as u64,
+        );
+        if let Some(exp) = entry.expires {
+            resp = resp.with_expires(wall_date(exp));
+        }
+        Ok((resp, Arc::clone(body)))
+    }
 }
 
 /// One cache shard: its state lock, the condvar miss-coalescing waits
@@ -354,26 +371,11 @@ struct ProxyShared {
     static_names: Names,
     dynamic_names: RankedMutex<Names>,
     classes: Vec<usize>,
-    uncacheable_mask: u32,
     delay: DelaySource,
     uses_invalidation: bool,
-    ground_truth: Option<Arc<FilePopulation>>,
     clock: LiveClock,
     probe: ProbeHandle,
     shutdown: AtomicBool,
-}
-
-/// What the lock-free middle of a request has to do, decided under the
-/// shard lock (mirrors the branch structure of `World::on_request`).
-enum Action {
-    /// Fresh (and valid) local copy: serve it.
-    ServeLocal(Response, Arc<Vec<u8>>),
-    /// No usable copy (compulsory miss, or known stale under
-    /// invalidation/eager): unconditional GET, flight registered.
-    FetchFull,
-    /// Possibly stale timed-out copy: conditional GET against its
-    /// `Last-Modified`.
-    Validate(EntryMeta),
 }
 
 /// Clears a registered single-flight entry when the fetch concludes —
@@ -401,16 +403,6 @@ impl ProxyShared {
 
     fn shard(&self, file: FileId) -> &Shard {
         &self.shards[shard_for(file, self.shards.len())]
-    }
-
-    /// Emit one request-outcome event. In-memory only; safe to call with
-    /// a shard lock held, never wraps socket IO.
-    fn record_request(&self, now: SimTime, file: FileId, outcome: RequestOutcome) {
-        self.probe.record(now, ObsEvent::Request { file, outcome });
-    }
-
-    fn is_uncacheable(&self, class: usize) -> bool {
-        class < 32 && self.uncacheable_mask & (1 << class) != 0
     }
 
     /// Path → id. Ground-truth paths resolve without taking any lock;
@@ -441,89 +433,6 @@ impl ProxyShared {
             .get(idx - self.static_names.paths.len())
             .cloned()
             .unwrap_or_default()
-    }
-
-    /// The simulator's omniscient fresh/stale classification of a local
-    /// hit, charging staleness severity. Without ground truth every
-    /// local hit is (optimistically) fresh.
-    fn classify_local_hit(
-        &self,
-        st: &mut CacheState,
-        file: FileId,
-        entry: &EntryMeta,
-        now: SimTime,
-    ) {
-        let Some(gt) = self.ground_truth.as_ref() else {
-            st.stats.fresh_hits += 1;
-            self.record_request(now, file, RequestOutcome::FreshHit);
-            return;
-        };
-        let rec = gt.get(file);
-        let Some(live) = rec.version_at(now) else {
-            // The request raced ahead of the scripted timeline; with no
-            // live version to compare against, count the hit as fresh.
-            st.stats.fresh_hits += 1;
-            self.record_request(now, file, RequestOutcome::FreshHit);
-            return;
-        };
-        if live.modified_at == entry.last_modified {
-            st.stats.fresh_hits += 1;
-            self.record_request(now, file, RequestOutcome::FreshHit);
-        } else {
-            st.stats.stale_hits += 1;
-            let mut age = SimDuration::ZERO;
-            if let Some(missed) = rec.first_change_after(entry.last_modified) {
-                age = now.saturating_since(missed.modified_at);
-                st.stale_age_total = st.stale_age_total.saturating_add(age);
-            }
-            self.record_request(now, file, RequestOutcome::StaleHit { age });
-        }
-    }
-
-    /// Did the origin copy change since `entry` was fetched? (Oracle
-    /// feedback for `Policy::on_validation` on the refetch path; only
-    /// answerable with ground truth, else assume changed — the entry was
-    /// invalidated, after all.)
-    fn changed_since(&self, file: FileId, entry: &EntryMeta, now: SimTime) -> bool {
-        match self
-            .ground_truth
-            .as_ref()
-            .and_then(|gt| gt.get(file).version_at(now))
-        {
-            Some(live) => live.modified_at != entry.last_modified,
-            // No ground truth (or no live version yet): the entry was
-            // invalidated, so assume it changed.
-            None => true,
-        }
-    }
-
-    /// Insert an entry, bumping the eviction counter and returning the
-    /// victims whose subscriptions and bodies must be dropped.
-    fn insert_entry(&self, st: &mut CacheState, file: FileId, meta: EntryMeta) -> Vec<FileId> {
-        let at = meta.fetched_at;
-        let mut victims = Vec::new();
-        for (victim, _) in st.store.insert(file, meta) {
-            if victim != file {
-                st.evictions += 1;
-                self.probe.record(at, ObsEvent::Eviction { file: victim });
-            }
-            st.bodies.remove(&victim);
-            victims.push(victim);
-        }
-        victims
-    }
-
-    /// The client-facing response for a locally-served copy.
-    fn local_response(entry: &EntryMeta, body: &Arc<Vec<u8>>, now: SimTime) -> Response {
-        let mut resp = Response::ok(
-            wall_date(now),
-            wall_date(entry.last_modified),
-            body.len() as u64,
-        );
-        if let Some(exp) = entry.expires {
-            resp = resp.with_expires(wall_date(exp));
-        }
-        resp
     }
 
     // --- control channel -------------------------------------------------
@@ -558,11 +467,11 @@ impl ProxyShared {
         self.control_roundtrip(self.shard(file), &ControlMsg::Subscribe(self.path_of(file)));
     }
 
-    fn unsubscribe_victims(&self, victims: &[FileId]) {
+    fn unsubscribe_victims(&self, victims: &Evicted) {
         if !self.uses_invalidation {
             return;
         }
-        for &victim in victims {
+        for &(victim, _) in victims.iter() {
             self.control_roundtrip(
                 self.shard(victim),
                 &ControlMsg::Unsubscribe(self.path_of(victim)),
@@ -591,12 +500,8 @@ impl ProxyShared {
                             // One invalidation = one control message
                             // (notice + ack), as in the simulator's
                             // `invalidation_message` costing.
-                            st.traffic.add_message(inv_bytes + ack_bytes);
-                            st.invalidations_delivered += 1;
                             let now = self.clock.now();
-                            if let Some(entry) = st.store.access(file, now) {
-                                entry.mark_invalid();
-                            }
+                            st.node.on_invalidate(file, now, inv_bytes + ack_bytes);
                         }
                         // Ack only after the entry is marked: once the
                         // origin sees the ACK, no client can be served
@@ -632,18 +537,6 @@ impl ProxyShared {
 
     // --- request path ----------------------------------------------------
 
-    /// The retrieval delay a policy sees when deciding whether to serve
-    /// `entry` locally. Modeled pricing mirrors the simulator's
-    /// `link.delay_for(entry.size)` exactly; measured mode reports zero
-    /// and lets delay-aware policies fall back to their observed
-    /// per-class history (fed by [`Self::exchange_delay`]).
-    fn decide_delay(&self, entry: &EntryMeta) -> SimDuration {
-        match self.delay {
-            DelaySource::Modeled(link) => link.delay_for(entry.size),
-            DelaySource::Measured => SimDuration::ZERO,
-        }
-    }
-
     /// The delay charged to `Policy::on_fetch` for a completed upstream
     /// exchange that moved `bytes` of body. Modeled pricing is
     /// wall-clock independent; measured mode uses the elapsed time since
@@ -675,212 +568,44 @@ impl ProxyShared {
         Ok(())
     }
 
-    /// Unconditional fetch via `file`'s shard pool — checkout, exchange,
-    /// checkin (broken connections are discarded, freeing their slot).
-    fn fetch_full(
-        &self,
-        file: FileId,
-        path: &str,
-        now: SimTime,
-    ) -> io::Result<(Response, Arc<Vec<u8>>)> {
-        let shard = self.shard(file);
-        let mut upstream = shard.pool.checkout(now, &self.probe, &self.shutdown)?;
-        let result = self.fetch_full_on(&mut upstream, file, path, now);
-        match &result {
-            Ok(_) => shard.pool.checkin(upstream),
-            Err(_) => shard.pool.discard(),
-        }
-        result
-    }
-
-    /// Unconditional fetch from the origin — the port of the simulator's
-    /// `fetch_full` (always called with `since = None`, as there).
-    fn fetch_full_on(
-        &self,
-        upstream: &mut HttpConn,
-        file: FileId,
-        path: &str,
-        now: SimTime,
-    ) -> io::Result<(Response, Arc<Vec<u8>>)> {
-        let class = self.class_of(file);
-        let shard = self.shard(file);
-        // wcc-allow: r1 exchange stopwatch for DelaySource::Measured; modeled runs never read it
-        let started = std::time::Instant::now();
-        let sent = upstream.write_request(&Request::get(path))?;
-        let (resp, body) = upstream.read_response()?;
-        let header_bytes = resp.header_size();
-
-        if resp.status != Status::Ok {
-            // The simulator never requests nonexistent files; pass the
-            // origin's answer through, charging the exchange as one
-            // message and dropping any cached copy.
-            let mut st = shard.state.lock();
-            st.traffic.add_message(sent + header_bytes);
-            st.stats.misses += 1;
-            st.store.remove(file);
-            st.bodies.remove(&file);
-            return Ok((resp, Arc::new(body)));
-        }
-
-        let body = Arc::new(body);
-        let last_modified = sim_instant(require_last_modified(&resp)?);
-        let expires = resp.expires.map(sim_instant);
-
-        if self.is_uncacheable(class) {
-            let mut st = shard.state.lock();
-            st.traffic.add_message(sent + header_bytes);
-            st.traffic.add_file_transfer(body.len() as u64);
-            st.policy
-                .on_fetch(class, self.exchange_delay(body.len() as u64, started));
-            st.stats.misses += 1;
-            st.store.remove(file);
-            st.bodies.remove(&file);
-            return Ok((resp, body));
-        }
-
-        // New entries subscribe *before* insertion, exactly where the
-        // simulator does. Single-flight registration makes the peek
-        // stable: no other worker inserts this file while the flight is
-        // held.
-        let is_new = shard.state.lock().store.peek(file).is_none();
-        if is_new && self.uses_invalidation {
-            self.subscribe_sync(file);
-        }
-
-        let victims = {
-            let mut st = shard.state.lock();
-            st.traffic.add_message(sent + header_bytes);
-            st.traffic.add_file_transfer(body.len() as u64);
-            st.policy
-                .on_fetch(class, self.exchange_delay(body.len() as u64, started));
-            st.stats.misses += 1;
-            let meta = match st.store.access(file, now).copied() {
-                Some(mut entry) => {
-                    entry.replace_body(body.len() as u64, last_modified, now);
-                    entry.expires = expires;
-                    entry
-                }
-                None => {
-                    let mut fresh = EntryMeta::fresh(body.len() as u64, last_modified, now);
-                    fresh.expires = expires;
-                    fresh
-                }
-            };
-            let victims = self.insert_entry(&mut st, file, meta);
-            if st.store.peek(file).is_some() {
-                st.bodies.insert(file, Arc::clone(&body));
-            }
-            victims
-        };
-        self.unsubscribe_victims(&victims);
-        Ok((resp, body))
-    }
-
-    /// Serve one client request — the port of `World::on_request`, with
-    /// shard routing and single-flight miss coalescing layered on.
+    /// Serve one client request: the shard's [`CacheNode`] decides under
+    /// the shard lock, and the upstream step it asks for runs on a pooled
+    /// connection with the lock released. Single-flight coalescing of
+    /// full fetches is layered on here.
     fn handle(&self, req: &Request) -> io::Result<(Response, Arc<Vec<u8>>)> {
         let file = self.resolve(&req.path);
         let class = self.class_of(file);
         let now = self.clock.now();
-
-        if self.is_uncacheable(class) {
-            // Forwarded, never cached — and never coalesced: every
-            // uncacheable request is its own upstream exchange, exactly
-            // as the simulator counts them.
-            self.record_request(now, file, RequestOutcome::Uncacheable);
-            return self.fetch_full(file, &req.path, now);
-        }
-
         let shard = self.shard(file);
-        let action = loop {
+        let (step, _flight) = loop {
             let mut st = shard.state.lock();
             if st.was_contended() {
                 self.probe
                     .record(now, ObsEvent::LockContended { rank: STATE_RANK });
             }
-            match st.store.access(file, now).copied() {
-                None => {
-                    if st.in_flight.contains(&file) {
-                        self.wait_for_flight(shard, st)?;
-                        continue;
-                    }
-                    // Compulsory miss; this request leads the flight.
+            // A leader is already fetching this file: wait, then decide
+            // against the copy it installed.
+            if st.in_flight.contains(&file) {
+                self.wait_for_flight(shard, st)?;
+                continue;
+            }
+            match st.node.on_request(file, class, now) {
+                Step::Serve(_) => return st.serve_local(file, now),
+                step @ Step::Get { .. } => {
+                    // This request leads the flight.
                     st.in_flight.insert(file);
-                    self.record_request(now, file, RequestOutcome::Miss);
-                    break Action::FetchFull;
+                    break (step, Some(FlightGuard { shard, file }));
                 }
-                Some(entry) => {
-                    let ctx = RequestCtx::new(now, class).with_delay(self.decide_delay(&entry));
-                    let fresh = st.policy.decide(&entry, &ctx).serves_locally();
-                    if fresh {
-                        match st.bodies.get(&file).map(Arc::clone) {
-                            Some(body) => {
-                                self.probe
-                                    .record(now, ObsEvent::PolicyDecision { file, fresh });
-                                self.classify_local_hit(&mut st, file, &entry, now);
-                                break Action::ServeLocal(
-                                    Self::local_response(&entry, &body, now),
-                                    body,
-                                );
-                            }
-                            // Resident meta whose body was dropped by a
-                            // concurrent eviction: treat as a miss.
-                            None => {
-                                if st.in_flight.contains(&file) {
-                                    self.wait_for_flight(shard, st)?;
-                                    continue;
-                                }
-                                st.in_flight.insert(file);
-                                self.probe
-                                    .record(now, ObsEvent::PolicyDecision { file, fresh });
-                                self.record_request(now, file, RequestOutcome::Miss);
-                                break Action::FetchFull;
-                            }
-                        }
-                    } else if self.uses_invalidation {
-                        if st.in_flight.contains(&file) {
-                            self.wait_for_flight(shard, st)?;
-                            continue;
-                        }
-                        st.in_flight.insert(file);
-                        // Known stale: refetch without a conditional
-                        // round-trip (the simulator's eager branch).
-                        self.probe
-                            .record(now, ObsEvent::PolicyDecision { file, fresh });
-                        let changed = self.changed_since(file, &entry, now);
-                        st.policy.on_validation(class, changed);
-                        self.probe.record(
-                            now,
-                            ObsEvent::Validation {
-                                file,
-                                modified: changed,
-                            },
-                        );
-                        self.record_request(now, file, RequestOutcome::Miss);
-                        break Action::FetchFull;
-                    } else {
-                        self.probe
-                            .record(now, ObsEvent::PolicyDecision { file, fresh });
-                        break Action::Validate(entry);
-                    }
-                }
+                // Uncacheable forwards and conditional validations are
+                // never coalesced: each is its own upstream exchange.
+                step => break (step, None),
             }
         };
 
-        let entry = match action {
-            Action::ServeLocal(resp, body) => return Ok((resp, body)),
-            Action::FetchFull => {
-                let _flight = FlightGuard { shard, file };
-                return self.fetch_full(file, &req.path, now);
-            }
-            Action::Validate(entry) => entry,
-        };
-
-        // Combined query-and-fetch via If-Modified-Since, on a pooled
-        // connection held across the (possible) fallback refetch so one
-        // request never checks out two sockets.
+        // One pooled connection serves the exchange and any step its
+        // commit asks for, so a request never checks out two sockets.
         let mut upstream = shard.pool.checkout(now, &self.probe, &self.shutdown)?;
-        let result = self.validate_on(&mut upstream, file, class, entry, req, now);
+        let result = self.exchange(&mut upstream, file, class, &req.path, now, step);
         match &result {
             Ok(_) => shard.pool.checkin(upstream),
             Err(_) => shard.pool.discard(),
@@ -888,116 +613,82 @@ impl ProxyShared {
         result
     }
 
-    /// The conditional-GET exchange and its outcome bookkeeping.
-    fn validate_on(
+    /// Perform `step` against the origin and commit the reply to the
+    /// shard's node, until the node is done.
+    fn exchange(
         &self,
         upstream: &mut HttpConn,
         file: FileId,
         class: usize,
-        entry: EntryMeta,
-        req: &Request,
+        path: &str,
         now: SimTime,
+        mut step: Step,
     ) -> io::Result<(Response, Arc<Vec<u8>>)> {
         let shard = self.shard(file);
-        let ims = wall_date(entry.last_modified);
-        // wcc-allow: r1 exchange stopwatch for DelaySource::Measured; modeled runs never read it
-        let started = std::time::Instant::now();
-        let sent = upstream.write_request(&Request::get_if_modified_since(&req.path, ims))?;
-        let (resp, body) = upstream.read_response()?;
-        let header_bytes = resp.header_size();
-
-        match resp.status {
-            Status::NotModified => {
-                let expires = resp.expires.map(sim_instant);
-                let served = {
-                    let mut st = shard.state.lock();
-                    st.traffic.add_message(sent + header_bytes);
-                    st.stats.validations_not_modified += 1;
-                    st.policy.on_validation(class, false);
-                    st.policy.on_fetch(class, self.exchange_delay(0, started));
-                    self.probe.record(
-                        now,
-                        ObsEvent::Validation {
-                            file,
-                            modified: false,
-                        },
-                    );
-                    match st.store.access(file, now) {
-                        Some(entry) => {
-                            entry.revalidate(now);
-                            entry.expires = expires;
-                            let entry = *entry;
-                            match st.bodies.get(&file).map(Arc::clone) {
-                                Some(body) => {
-                                    st.stats.fresh_hits += 1;
-                                    Some((Self::local_response(&entry, &body, now), body))
-                                }
-                                None => None,
-                            }
+        loop {
+            let request = match step {
+                Step::ConditionalGet { since } => {
+                    Request::get_if_modified_since(path, wall_date(since))
+                }
+                _ => Request::get(path),
+            };
+            // wcc-allow: r1 exchange stopwatch for DelaySource::Measured; modeled runs never read it
+            let started = std::time::Instant::now();
+            let sent = upstream.write_request(&request)?;
+            let (resp, body) = upstream.read_response()?;
+            let body = Arc::new(body);
+            let expires = resp.expires.map(sim_instant);
+            let reply = match (resp.status, step) {
+                (Status::Ok, _) => Reply::Body {
+                    last_modified: sim_instant(require_last_modified(&resp)?),
+                    size: body.len() as u64,
+                    expires,
+                },
+                (Status::NotModified, Step::ConditionalGet { .. }) => {
+                    Reply::NotModified { expires }
+                }
+                // The simulator never requests nonexistent files; pass
+                // the origin's answer through and drop any cached copy.
+                _ => Reply::Missing,
+            };
+            // New entries subscribe *before* insertion.
+            if matches!(step, Step::Get { subscribe: true }) && matches!(reply, Reply::Body { .. })
+            {
+                self.subscribe_sync(file);
+            }
+            let cost = Exchange {
+                message_bytes: sent + resp.header_size(),
+                delay: self.exchange_delay(body.len() as u64, started),
+            };
+            let committed = {
+                let mut st = shard.state.lock();
+                match st.node.on_reply(file, class, now, step, reply, cost) {
+                    Commit::Again(next) => Err(next),
+                    Commit::Done(evicted) => {
+                        for (victim, _) in evicted.iter() {
+                            st.bodies.remove(victim);
                         }
-                        None => None,
-                    }
-                };
-                match served {
-                    Some((client_resp, body)) => {
-                        self.record_request(now, file, RequestOutcome::ValidatedFresh);
-                        Ok((client_resp, body))
-                    }
-                    // The validated entry (or its body) vanished under a
-                    // concurrent eviction between lock drops: refetch on
-                    // the connection already in hand.
-                    None => {
-                        self.record_request(now, file, RequestOutcome::Miss);
-                        self.fetch_full_on(upstream, file, &req.path, now)
+                        let served = match reply {
+                            Reply::NotModified { .. } => st.serve_local(file, now),
+                            _ => {
+                                if st.node.store().peek(file).is_some() {
+                                    st.bodies.insert(file, Arc::clone(&body));
+                                }
+                                Ok((resp, body))
+                            }
+                        };
+                        Ok((served, evicted))
                     }
                 }
-            }
-            Status::Ok => {
-                let body = Arc::new(body);
-                let last_modified = sim_instant(require_last_modified(&resp)?);
-                let expires = resp.expires.map(sim_instant);
-                let victims = {
-                    let mut st = shard.state.lock();
-                    st.traffic.add_message(sent + header_bytes);
-                    st.traffic.add_file_transfer(body.len() as u64);
-                    st.stats.validations_modified += 1;
-                    st.stats.misses += 1;
-                    st.policy.on_validation(class, true);
-                    st.policy
-                        .on_fetch(class, self.exchange_delay(body.len() as u64, started));
-                    self.probe.record(
-                        now,
-                        ObsEvent::Validation {
-                            file,
-                            modified: true,
-                        },
-                    );
-                    self.record_request(now, file, RequestOutcome::ValidatedStale);
-                    let mut entry = st.store.access(file, now).copied().unwrap_or_else(|| {
-                        // Evicted mid-validation: rebuild the meta as
-                        // fetch_full would for a compulsory miss.
-                        EntryMeta::fresh(body.len() as u64, last_modified, now)
-                    });
-                    entry.replace_body(body.len() as u64, last_modified, now);
-                    entry.expires = expires;
-                    let victims = self.insert_entry(&mut st, file, entry);
-                    if st.store.peek(file).is_some() {
-                        st.bodies.insert(file, Arc::clone(&body));
-                    }
-                    victims
-                };
-                self.unsubscribe_victims(&victims);
-                Ok((resp, body))
-            }
-            Status::NotFound => {
-                let mut st = shard.state.lock();
-                st.traffic.add_message(sent + header_bytes);
-                st.stats.misses += 1;
-                st.store.remove(file);
-                st.bodies.remove(&file);
-                drop(st);
-                self.record_request(now, file, RequestOutcome::Miss);
-                Ok((resp, Arc::new(body)))
+            };
+            match committed {
+                // The validated copy was evicted mid-exchange: refetch on
+                // the connection already in hand.
+                Err(next) => step = next,
+                Ok((served, evicted)) => {
+                    self.unsubscribe_victims(&evicted);
+                    return served;
+                }
             }
         }
     }
@@ -1089,20 +780,27 @@ impl LiveProxy {
                 control_streams.push(None);
                 None
             };
+            let mut node = CacheNode::new(
+                config.store.build_shard(i, shard_count),
+                config.policy.build(),
+                config.probe.clone(),
+            )
+            .with_invalidation(uses_invalidation)
+            .with_uncacheable(config.uncacheable_mask);
+            if let DelaySource::Modeled(link) = config.delay {
+                node = node.with_link(link);
+            }
+            if let Some(gt) = config.ground_truth.as_ref() {
+                node = node.with_oracle(Arc::clone(gt));
+            }
             shards.push(Shard {
                 state: RankedMutex::new(
                     STATE_RANK,
                     "proxy.state",
                     CacheState {
-                        store: config.store.build_shard(i, shard_count),
+                        node,
                         bodies: HashMap::new(),
-                        policy: config.policy.build(),
                         in_flight: HashSet::new(),
-                        traffic: TrafficMeter::default(),
-                        stats: CacheStats::default(),
-                        stale_age_total: SimDuration::ZERO,
-                        invalidations_delivered: 0,
-                        evictions: 0,
                     },
                 ),
                 flights: RankedCondvar::new(),
@@ -1120,10 +818,8 @@ impl LiveProxy {
                 Names::default(),
             ),
             classes: config.classes,
-            uncacheable_mask: config.uncacheable_mask,
             delay: config.delay,
             uses_invalidation,
-            ground_truth: config.ground_truth,
             clock: config.clock,
             probe: config.probe,
             shutdown: AtomicBool::new(false),
@@ -1196,11 +892,13 @@ impl LiveProxy {
         let mut snap = ProxySnapshot::default();
         for shard in &self.shared.shards {
             let st = shard.state.lock();
-            snap.cache.merge(&st.stats);
-            snap.traffic.merge(&st.traffic);
-            snap.stale_age_total = snap.stale_age_total.saturating_add(st.stale_age_total);
-            snap.invalidations_delivered += st.invalidations_delivered;
-            snap.evictions += st.evictions;
+            snap.cache.merge(st.node.stats());
+            snap.traffic.merge(st.node.traffic());
+            snap.stale_age_total = snap
+                .stale_age_total
+                .saturating_add(st.node.stale_age_total());
+            snap.invalidations_delivered += st.node.invalidations();
+            snap.evictions += st.node.evictions();
             drop(st);
             snap.upstream_dials += shard.pool.dials();
             snap.upstream_reuses += shard.pool.reuses();

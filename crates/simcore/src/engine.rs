@@ -6,61 +6,27 @@
 //! fires it. Events may schedule further events (invalidation callbacks,
 //! retry timers, TTL expiries) through the [`Scheduler`] they receive.
 //!
-//! The engine is generic over the queued event payload. The default payload
-//! is `Box<dyn Event<W>>`, which lets tests and examples schedule plain
-//! closures, at the price of one heap allocation and one virtual call per
-//! event. A simulator with a closed set of event kinds supplies a concrete
-//! enum implementing [`Dispatch`] instead and pays neither cost on its hot
-//! path — see `webcache::sim`.
+//! The queued payload is a concrete type implementing [`Dispatch`] —
+//! typically a small `Copy` enum with one variant per event kind — so
+//! scheduling an event allocates nothing and firing one is a plain
+//! `match`, not a virtual call. See `webcache::sim`.
 
 use std::marker::PhantomData;
 
 use crate::queue::{EventHandle, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
-/// An executable simulation event acting on world state `W`, boxed.
-///
-/// Implemented for plain closures via a blanket impl, so simple simulations
-/// can schedule `move |world, sched| { .. }` directly.
-pub trait Event<W> {
-    /// Execute the event. `sched` may be used to schedule follow-up events;
-    /// `sched.now()` is the instant this event fires at.
-    fn fire(self: Box<Self>, world: &mut W, sched: &mut Scheduler<W>);
-}
-
-impl<W, F> Event<W> for F
-where
-    F: FnOnce(&mut W, &mut Scheduler<W>),
-{
-    fn fire(self: Box<Self>, world: &mut W, sched: &mut Scheduler<W>) {
-        (*self)(world, sched)
-    }
-}
-
-/// How a queued event payload executes against the world.
-///
-/// This is the by-value, allocation-free counterpart of [`Event`]: a payload
-/// type (typically a small `Copy` enum) implements it directly, and
-/// [`Simulation`] dispatches with a plain `match` instead of a virtual call.
-/// The boxed [`Event`] path remains available through the blanket impl for
-/// `Box<dyn Event<W>>`.
+/// How a queued event payload executes against the world `W`.
 pub trait Dispatch<W>: Sized {
-    /// Execute the event. `sched.now()` is the instant it fires at.
+    /// Execute the event. `sched.now()` is the instant it fires at;
+    /// `sched` may be used to schedule follow-up events.
     fn dispatch(self, world: &mut W, sched: &mut Scheduler<W, Self>);
 }
 
-impl<W> Dispatch<W> for Box<dyn Event<W>> {
-    fn dispatch(self, world: &mut W, sched: &mut Scheduler<W, Self>) {
-        self.fire(world, sched)
-    }
-}
-
 /// The scheduling surface handed to firing events: the current instant and
-/// the ability to enqueue or cancel future events.
-///
-/// `E` is the queued payload type; it defaults to boxed dynamic events, so
-/// `Scheduler<World>` keeps meaning what it always did.
-pub struct Scheduler<W, E = Box<dyn Event<W>>> {
+/// the ability to enqueue or cancel future events. `E` is the queued
+/// payload type.
+pub struct Scheduler<W, E> {
     now: SimTime,
     queue: EventQueue<E>,
     _world: PhantomData<fn(&mut W)>,
@@ -80,8 +46,7 @@ impl<W, E> Scheduler<W, E> {
         self.now
     }
 
-    /// Schedule the payload `event` at the absolute instant `at`, without
-    /// boxing.
+    /// Schedule the payload `event` at the absolute instant `at`.
     ///
     /// # Panics
     /// Panics if `at` is in the past — an event cannot rewrite history.
@@ -95,7 +60,7 @@ impl<W, E> Scheduler<W, E> {
     }
 
     /// Schedule the payload `event` to fire `delay` after the current
-    /// instant, without boxing.
+    /// instant.
     pub fn schedule_event_in(&mut self, delay: SimDuration, event: E) -> EventHandle {
         let at = self.now.saturating_add(delay);
         self.queue.schedule(at, event)
@@ -119,45 +84,32 @@ impl<W, E> Scheduler<W, E> {
     }
 }
 
-impl<W> Scheduler<W> {
-    /// Schedule `event` at the absolute instant `at` (boxing it).
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past — an event cannot rewrite history.
-    pub fn schedule_at<Ev: Event<W> + 'static>(&mut self, at: SimTime, event: Ev) -> EventHandle {
-        self.schedule_event_at(at, Box::new(event))
-    }
-
-    /// Schedule `event` to fire `delay` after the current instant (boxing
-    /// it).
-    pub fn schedule_in<Ev: Event<W> + 'static>(
-        &mut self,
-        delay: SimDuration,
-        event: Ev,
-    ) -> EventHandle {
-        self.schedule_event_in(delay, Box::new(event))
-    }
-}
-
 /// A complete simulation: world state plus driver.
 ///
 /// ```
-/// use simcore::{SimDuration, SimTime, Simulation, Scheduler};
+/// use simcore::{Dispatch, Scheduler, SimDuration, SimTime, Simulation};
 ///
-/// let mut sim = Simulation::new(Vec::<u64>::new());
-/// sim.scheduler().schedule_at(
-///     SimTime::from_secs(10),
-///     |log: &mut Vec<u64>, sched: &mut Scheduler<Vec<u64>>| {
+/// #[derive(Clone, Copy)]
+/// enum Tick {
+///     First,
+///     Second,
+/// }
+///
+/// impl Dispatch<Vec<u64>> for Tick {
+///     fn dispatch(self, log: &mut Vec<u64>, sched: &mut Scheduler<Vec<u64>, Tick>) {
 ///         log.push(sched.now().as_secs());
-///         sched.schedule_in(SimDuration::from_secs(5), |log: &mut Vec<u64>, s: &mut Scheduler<Vec<u64>>| {
-///             log.push(s.now().as_secs());
-///         });
-///     },
-/// );
+///         if let Tick::First = self {
+///             sched.schedule_event_in(SimDuration::from_secs(5), Tick::Second);
+///         }
+///     }
+/// }
+///
+/// let mut sim: Simulation<Vec<u64>, Tick> = Simulation::new(Vec::new());
+/// sim.scheduler().schedule_event_at(SimTime::from_secs(10), Tick::First);
 /// sim.run_to_completion();
 /// assert_eq!(sim.into_world(), vec![10, 15]);
 /// ```
-pub struct Simulation<W, E = Box<dyn Event<W>>> {
+pub struct Simulation<W, E> {
     world: W,
     sched: Scheduler<W, E>,
     fired: u64,
@@ -276,17 +228,42 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// The engine tests' event alphabet.
+    #[derive(Clone, Copy)]
+    enum Ev {
+        /// Log the label at the firing instant.
+        Mark(&'static str),
+        /// Log the label, then schedule `Mark(then)` `after` seconds on.
+        MarkThen(&'static str, u64, &'static str),
+        /// Try to schedule an event five seconds in the past.
+        Rewind,
+    }
+
+    impl Dispatch<World> for Ev {
+        fn dispatch(self, world: &mut World, sched: &mut Scheduler<World, Ev>) {
+            let now = sched.now();
+            match self {
+                Ev::Mark(label) => world.log.push((now.as_secs(), label)),
+                Ev::MarkThen(label, after, then) => {
+                    world.log.push((now.as_secs(), label));
+                    sched.schedule_event_in(SimDuration::from_secs(after), Ev::Mark(then));
+                }
+                Ev::Rewind => {
+                    sched.schedule_event_at(SimTime::from_secs(now.as_secs() - 5), Ev::Mark("x"));
+                }
+            }
+        }
+    }
+
+    fn sim() -> Simulation<World, Ev> {
+        Simulation::new(World::default())
+    }
+
     #[test]
     fn events_fire_in_time_order_with_clock_advancing() {
-        let mut sim = Simulation::new(World::default());
-        sim.scheduler()
-            .schedule_at(at(20), |w: &mut World, s: &mut Scheduler<World>| {
-                w.log.push((s.now().as_secs(), "b"));
-            });
-        sim.scheduler()
-            .schedule_at(at(10), |w: &mut World, s: &mut Scheduler<World>| {
-                w.log.push((s.now().as_secs(), "a"));
-            });
+        let mut sim = sim();
+        sim.scheduler().schedule_event_at(at(20), Ev::Mark("b"));
+        sim.scheduler().schedule_event_at(at(10), Ev::Mark("a"));
         assert_eq!(sim.run_to_completion(), 2);
         assert_eq!(sim.world().log, vec![(10, "a"), (20, "b")]);
         assert_eq!(sim.now(), at(20));
@@ -294,29 +271,18 @@ mod tests {
 
     #[test]
     fn events_can_schedule_followups() {
-        let mut sim = Simulation::new(World::default());
+        let mut sim = sim();
         sim.scheduler()
-            .schedule_at(at(5), |w: &mut World, s: &mut Scheduler<World>| {
-                w.log.push((s.now().as_secs(), "first"));
-                s.schedule_in(
-                    SimDuration::from_secs(7),
-                    |w: &mut World, s: &mut Scheduler<World>| {
-                        w.log.push((s.now().as_secs(), "second"));
-                    },
-                );
-            });
+            .schedule_event_at(at(5), Ev::MarkThen("first", 7, "second"));
         sim.run_to_completion();
         assert_eq!(sim.world().log, vec![(5, "first"), (12, "second")]);
     }
 
     #[test]
     fn run_until_stops_at_deadline_and_advances_clock() {
-        let mut sim = Simulation::new(World::default());
+        let mut sim = sim();
         for s in [10u64, 20, 30] {
-            sim.scheduler()
-                .schedule_at(at(s), move |w: &mut World, sc: &mut Scheduler<World>| {
-                    w.log.push((sc.now().as_secs(), "e"));
-                });
+            sim.scheduler().schedule_event_at(at(s), Ev::Mark("e"));
         }
         assert_eq!(sim.run_until(at(25)), 2);
         assert_eq!(sim.now(), at(25));
@@ -327,12 +293,8 @@ mod tests {
 
     #[test]
     fn cancellation_prevents_firing() {
-        let mut sim = Simulation::new(World::default());
-        let h = sim
-            .scheduler()
-            .schedule_at(at(10), |w: &mut World, _: &mut Scheduler<World>| {
-                w.log.push((10, "never"));
-            });
+        let mut sim = sim();
+        let h = sim.scheduler().schedule_event_at(at(10), Ev::Mark("never"));
         assert!(sim.scheduler().cancel(h));
         sim.run_to_completion();
         assert!(sim.world().log.is_empty());
@@ -341,36 +303,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_the_past_panics() {
-        let mut sim = Simulation::new(World::default());
-        sim.scheduler()
-            .schedule_at(at(10), |_: &mut World, s: &mut Scheduler<World>| {
-                s.schedule_at(at(5), |_: &mut World, _: &mut Scheduler<World>| {});
-            });
+        let mut sim = sim();
+        sim.scheduler().schedule_event_at(at(10), Ev::Rewind);
         sim.run_to_completion();
     }
 
     #[test]
-    fn typed_enum_events_run_without_boxing() {
-        #[derive(Clone, Copy)]
-        enum Tick {
-            Mark(&'static str),
-            Chain,
-        }
-        impl Dispatch<World> for Tick {
-            fn dispatch(self, world: &mut World, sched: &mut Scheduler<World, Tick>) {
-                match self {
-                    Tick::Mark(label) => world.log.push((sched.now().as_secs(), label)),
-                    Tick::Chain => {
-                        world.log.push((sched.now().as_secs(), "chain"));
-                        sched.schedule_event_in(SimDuration::from_secs(3), Tick::Mark("tail"));
-                    }
-                }
-            }
-        }
-
-        let mut sim: Simulation<World, Tick> = Simulation::new(World::default());
-        sim.scheduler().schedule_event_at(at(10), Tick::Chain);
-        sim.scheduler().schedule_event_at(at(5), Tick::Mark("head"));
+    fn typed_enum_events_chain() {
+        let mut sim = sim();
+        sim.scheduler()
+            .schedule_event_at(at(10), Ev::MarkThen("chain", 3, "tail"));
+        sim.scheduler().schedule_event_at(at(5), Ev::Mark("head"));
         assert_eq!(sim.run_to_completion(), 3);
         assert_eq!(
             sim.world().log,
@@ -380,7 +323,7 @@ mod tests {
 
     #[test]
     fn typed_events_can_borrow_non_static_state() {
-        // The typed path has no `'static` bound: a world borrowing local
+        // Event payloads carry no `'static` bound: a world borrowing local
         // state is legal. This is what lets simulators share a workload by
         // reference across a sweep instead of cloning it per point.
         struct Borrowing<'a> {
@@ -409,18 +352,13 @@ mod tests {
 
     #[test]
     fn same_instant_fifo_holds_across_nesting() {
-        let mut sim = Simulation::new(World::default());
+        let mut sim = sim();
+        // `outer1` schedules `nested` for its own instant: it queues
+        // behind `outer2`, which was scheduled first.
         sim.scheduler()
-            .schedule_at(at(10), |w: &mut World, s: &mut Scheduler<World>| {
-                w.log.push((s.now().as_secs(), "outer1"));
-                s.schedule_at(at(10), |w: &mut World, _: &mut Scheduler<World>| {
-                    w.log.push((10, "nested"));
-                });
-            });
+            .schedule_event_at(at(10), Ev::MarkThen("outer1", 0, "nested"));
         sim.scheduler()
-            .schedule_at(at(10), |w: &mut World, _: &mut Scheduler<World>| {
-                w.log.push((10, "outer2"));
-            });
+            .schedule_event_at(at(10), Ev::Mark("outer2"));
         sim.run_to_completion();
         assert_eq!(
             sim.world().log,

@@ -25,7 +25,7 @@ mod metrics;
 mod queue;
 mod time;
 
-pub use engine::{Dispatch, Event, Scheduler, Simulation};
+pub use engine::{Dispatch, Scheduler, Simulation};
 pub use ids::{CacheId, ClientId, FileId};
 pub use metrics::{CacheStats, LatencyStats, ServerLoad, TrafficMeter};
 pub use queue::{EventHandle, EventQueue};

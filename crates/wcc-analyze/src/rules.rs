@@ -11,7 +11,7 @@
 //! | r1 | no-wall-clock             | every crate except `bench`; `liveserve/{clock,loadgen,soak}.rs` + `wcc-load/{driver,replay}.rs` allowlisted |
 //! | r2 | no-unordered-iter         | files that write reports/stats |
 //! | r3 | no-lock-across-io         | `liveserve`, `wcc-obs`, `wcc-load` |
-//! | r4 | no-panic-in-server-path   | `liveserve::{origin,proxy,netio,control,pool,...}`, `wcc-load::{driver,replay}` |
+//! | r4 | no-panic-in-server-path   | `liveserve::{origin,proxy,netio,control,pool,...}`, `wcc-load::{driver,replay}`, `consistency::node` |
 //! | r5 | bounded-channel-or-comment| `liveserve`, `wcc-load` |
 //! | r6 | lock-order-cycle          | `liveserve`, `wcc-obs`, `wcc-load` (workspace-wide graph; see [`crate::concurrency`]) |
 //! | r7 | condvar-discipline        | `liveserve`, `wcc-obs`, `wcc-load` |
@@ -602,7 +602,9 @@ fn r4_no_panic_in_server_path(
     // worker silently under-achieves the offered rate for the whole run.
     let in_wcc_load =
         ctx.crate_name == "wcc-load" && matches!(ctx.file_name(), "driver.rs" | "replay.rs");
-    if !(in_liveserve || in_wcc_load) {
+    // Every proxy shard decides and commits each request in its CacheNode.
+    let in_node = ctx.crate_name == "consistency" && ctx.file_name() == "node.rs";
+    if !(in_liveserve || in_wcc_load || in_node) {
         return;
     }
     let toks = &ctx.tokens;
@@ -858,6 +860,20 @@ mod tests { fn t() { z.unwrap(); } }
         assert_eq!(hits.iter().filter(|f| f.rule == "r4").count(), 3);
         // Same source in a non-server file: clean.
         assert!(unsuppressed("crates/liveserve/src/report.rs", src)
+            .iter()
+            .all(|f| f.rule != "r4"));
+    }
+
+    #[test]
+    fn r4_covers_the_cache_node_but_not_the_policies() {
+        let src = "fn on_reply(&mut self) { self.store.access(file, now).expect(\"resident\"); }";
+        let hits = unsuppressed("crates/consistency/src/node.rs", src);
+        assert_eq!(
+            hits.iter().filter(|f| f.rule == "r4").count(),
+            1,
+            "{hits:?}"
+        );
+        assert!(unsuppressed("crates/consistency/src/policy.rs", src)
             .iter()
             .all(|f| f.rule != "r4"));
     }

@@ -229,6 +229,15 @@ pub trait Probe {
     fn record(&mut self, at: SimTime, event: ObsEvent);
 }
 
+/// A borrowed probe records into its referent, so a component can own
+/// `&mut dyn Probe` for the length of one run.
+impl<P: Probe + ?Sized> Probe for &mut P {
+    #[inline]
+    fn record(&mut self, at: SimTime, event: ObsEvent) {
+        (**self).record(at, event);
+    }
+}
+
 /// The do-nothing probe — the default everywhere, and the one the
 /// golden-hash determinism tests attach to prove instrumentation is
 /// free.
@@ -264,6 +273,12 @@ enum Inner {
 #[derive(Clone, Default)]
 pub struct ProbeHandle {
     inner: Option<Inner>,
+}
+
+impl Probe for ProbeHandle {
+    fn record(&mut self, at: SimTime, event: ObsEvent) {
+        ProbeHandle::record(self, at, event);
+    }
 }
 
 impl std::fmt::Debug for ProbeHandle {

@@ -7,10 +7,12 @@
 //! cargo run --release --example proxy_cache_sim [-- <capacity-mb>]
 //! ```
 
-use wwwcache::consistency::{CernPolicy, Policy, RequestCtx};
-use wwwcache::proxycache::{EntryMeta, LruStore, Store};
-use wwwcache::simcore::{FileId, SimTime};
+use wwwcache::consistency::{CacheNode, CernPolicy, Commit, Exchange, Policy, Reply, Step};
+use wwwcache::httpsim::PAPER_MESSAGE_BYTES;
+use wwwcache::proxycache::{LruStore, Store};
+use wwwcache::simcore::{FileId, SimDuration, SimTime};
 use wwwcache::simstats::{DetRng, ZipfDist};
+use wwwcache::wcc_obs::NoopProbe;
 use wwwcache::webtrace::microsoft::{generate_microsoft_log, MicrosoftProfile};
 use wwwcache::webtrace::FileType;
 
@@ -25,47 +27,57 @@ fn main() {
     let accesses = generate_microsoft_log(&MicrosoftProfile::scaled(150_000), 1996);
     let objects = 20_000u64;
     let policy = CernPolicy::deployed_default();
-    let mut cache = LruStore::new(capacity_mb * 1024 * 1024);
+    // The cache runs the same request path as every simulator and the
+    // live proxy. Dynamic (cgi) responses are never cached, as mid-90s
+    // proxies did.
+    let mut cache = CacheNode::new(
+        LruStore::new(capacity_mb * 1024 * 1024),
+        Box::new(policy),
+        NoopProbe,
+    )
+    .with_uncacheable(1 << FileType::Cgi.class_index());
 
-    let (mut hits, mut misses, mut validations) = (0u64, 0u64, 0u64);
     let day_start = SimTime::from_secs(0);
     let zipf = ZipfDist::new(objects as usize, 1.0);
     let mut rng = DetRng::seed_from_u64(7);
     for access in &accesses {
         let now = day_start + access.offset;
-        // Zipf-popular object ids: the Web's access skew.
-        let id = FileId::from_index(zipf.sample(&mut rng));
-        // Dynamic (cgi) responses are never cached, as mid-90s proxies did.
-        if access.file_type == FileType::Cgi {
-            misses += 1;
-            continue;
-        }
-        match cache.access(id, now).copied() {
-            Some(entry)
-                if policy
-                    .decide(&entry, &RequestCtx::new(now, 0))
-                    .serves_locally() =>
-            {
-                hits += 1;
-            }
-            Some(mut entry) => {
-                // Expired: revalidate (we model the origin as unchanged
-                // within the day, so every validation is a 304).
-                validations += 1;
-                entry.revalidate(now);
-                cache.insert(id, entry);
-                hits += 1;
-            }
-            None => {
-                misses += 1;
-                // Age the object: pretend it was last modified days ago so
-                // the CERN LM-fraction rule gives a sensible TTL.
-                let last_modified = SimTime::ZERO;
-                cache.insert(id, EntryMeta::fresh(access.size, last_modified, now));
+        // Zipf-popular object ids: the Web's access skew. Dynamic pages
+        // are distinct URLs from the static objects.
+        let class = access.file_type.class_index();
+        let dynamic = if access.file_type == FileType::Cgi {
+            objects
+        } else {
+            0
+        };
+        let id = FileId::from_index(zipf.sample(&mut rng) + dynamic as usize);
+        let mut step = cache.on_request(id, class, now);
+        loop {
+            // The origin: every object was last modified long ago (so the
+            // CERN LM-fraction rule gives a sensible TTL) and does not
+            // change within the day, so every validation is a 304.
+            let reply = match step {
+                Step::Serve(_) => break,
+                Step::ConditionalGet { .. } => Reply::NotModified { expires: None },
+                Step::Forward | Step::Get { .. } => Reply::Body {
+                    last_modified: SimTime::ZERO,
+                    size: access.size,
+                    expires: None,
+                },
+            };
+            let cost = Exchange {
+                message_bytes: PAPER_MESSAGE_BYTES,
+                delay: SimDuration::ZERO,
+            };
+            match cache.on_reply(id, class, now, step, reply, cost) {
+                Commit::Done(_) => break,
+                Commit::Again(next) => step = next,
             }
         }
     }
 
+    let stats = cache.stats();
+    let (hits, misses) = (stats.fresh_hits + stats.stale_hits, stats.misses);
     let total = hits + misses;
     println!(
         "proxy day: {} requests, {} distinct objects, {capacity_mb} MB cache",
@@ -77,12 +89,12 @@ fn main() {
         "  hit rate          : {:.1}%",
         100.0 * hits as f64 / total as f64
     );
-    println!("  validations (304) : {validations}");
+    println!("  validations (304) : {}", stats.validations_not_modified);
     println!("  evictions         : {}", cache.evictions());
     println!(
         "  resident          : {} objects / {:.1} MB",
-        cache.len(),
-        cache.resident_bytes() as f64 / 1048576.0
+        cache.store().len(),
+        cache.store().resident_bytes() as f64 / 1048576.0
     );
     println!(
         "\nNetscape's 1995 claim was that a local proxy cuts internetwork\n\
