@@ -20,6 +20,7 @@
 //! bytes exactly as if they were sent.
 
 use core::fmt;
+use std::io::{self, Write};
 use std::str::FromStr;
 
 use crate::date::HttpDate;
@@ -272,31 +273,50 @@ impl Response {
         self
     }
 
+    /// Write the status line and headers, in wire order, to `out`. The
+    /// one head serialiser: every method below goes through it, and it
+    /// allocates nothing itself.
+    fn write_head(&self, out: &mut impl Write) -> io::Result<()> {
+        write!(
+            out,
+            "HTTP/1.0 {} {}\r\nDate: {}\r\n",
+            self.status.code(),
+            self.status.reason(),
+            self.date
+        )?;
+        if let Some(lm) = self.last_modified {
+            write!(out, "Last-Modified: {lm}\r\n")?;
+        }
+        if let Some(exp) = self.expires {
+            write!(out, "Expires: {exp}\r\n")?;
+        }
+        if let Some(len) = self.content_length {
+            write!(out, "Content-Length: {len}\r\n")?;
+        }
+        out.write_all(b"\r\n")
+    }
+
+    /// Append the status line and headers to `out`, so a writer can
+    /// reuse one buffer for every response head.
+    pub fn encode_head(&self, out: &mut Vec<u8>) {
+        self.write_head(out)
+            .expect("writing to a Vec<u8> cannot fail");
+    }
+
     /// Serialise status line and headers to wire format (bodies are
     /// synthetic; see [`Response::wire_size`]).
     pub fn serialize_headers(&self) -> String {
-        let mut s = format!(
-            "HTTP/1.0 {} {}\r\n",
-            self.status.code(),
-            self.status.reason()
-        );
-        s.push_str(&format!("Date: {}\r\n", self.date));
-        if let Some(lm) = self.last_modified {
-            s.push_str(&format!("Last-Modified: {lm}\r\n"));
-        }
-        if let Some(exp) = self.expires {
-            s.push_str(&format!("Expires: {exp}\r\n"));
-        }
-        if let Some(len) = self.content_length {
-            s.push_str(&format!("Content-Length: {len}\r\n"));
-        }
-        s.push_str("\r\n");
-        s
+        let mut bytes = Vec::new();
+        self.encode_head(&mut bytes);
+        String::from_utf8(bytes).expect("response heads are ASCII")
     }
 
-    /// Size of the headers alone, in bytes.
+    /// Size of the headers alone, in bytes (counted, not built).
     pub fn header_size(&self) -> u64 {
-        self.serialize_headers().len() as u64
+        let mut counter = ByteCount(0);
+        self.write_head(&mut counter)
+            .expect("counting bytes cannot fail");
+        counter.0
     }
 
     /// Total wire size: headers plus (synthetic) body.
@@ -316,7 +336,8 @@ impl Response {
             self.content_length.unwrap_or(0),
             "body length must match Content-Length framing"
         );
-        let mut bytes = self.serialize_headers().into_bytes();
+        let mut bytes = Vec::new();
+        self.encode_head(&mut bytes);
         bytes.extend_from_slice(body);
         bytes
     }
@@ -403,6 +424,20 @@ impl Response {
     }
 }
 
+/// An `io::Write` sink that only counts the bytes written to it.
+struct ByteCount(u64);
+
+impl Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.len() as u64;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 /// Index just past the `\r\n\r\n` terminating a header section, or `None`
 /// if the terminator has not arrived in `buf` yet.
 pub fn header_section_end(buf: &[u8]) -> Option<usize> {
@@ -479,6 +514,37 @@ mod tests {
         let text = resp.serialize_headers();
         assert_eq!(Response::parse(&text), Ok(resp.clone()));
         assert_eq!(resp.wire_size(), resp.header_size() + 7791);
+    }
+
+    /// The head serialiser's wire bytes, pinned; every entry point
+    /// (`serialize_headers`, `encode_head`, `header_size`, `to_bytes`)
+    /// agrees with them.
+    #[test]
+    fn response_head_bytes_are_pinned() {
+        let full = Response::ok(day(10), day(2), 5).with_expires(day(20));
+        let bare = Response::not_modified(day(1));
+        for (resp, wire) in [
+            (
+                &full,
+                "HTTP/1.0 200 OK\r\nDate: Thu, 11 Jan 1996 00:00:00 GMT\r\n\
+                 Last-Modified: Wed, 03 Jan 1996 00:00:00 GMT\r\n\
+                 Expires: Sun, 21 Jan 1996 00:00:00 GMT\r\nContent-Length: 5\r\n\r\n",
+            ),
+            (
+                &bare,
+                "HTTP/1.0 304 Not Modified\r\nDate: Tue, 02 Jan 1996 00:00:00 GMT\r\n\r\n",
+            ),
+        ] {
+            assert_eq!(resp.serialize_headers(), wire);
+            assert_eq!(resp.header_size() as usize, wire.len());
+            // `encode_head` appends to a reused buffer.
+            let mut buf = b"prefix".to_vec();
+            resp.encode_head(&mut buf);
+            assert_eq!(&buf[6..], wire.as_bytes());
+        }
+        let mut expected = full.serialize_headers().into_bytes();
+        expected.extend_from_slice(b"hello");
+        assert_eq!(full.to_bytes(b"hello"), expected);
     }
 
     #[test]
@@ -645,6 +711,7 @@ mod proptests {
                 content_length: len,
             };
             let text = resp.serialize_headers();
+            prop_assert_eq!(resp.header_size() as usize, text.len());
             prop_assert_eq!(Response::parse(&text), Ok(resp));
         }
 

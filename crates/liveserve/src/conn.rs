@@ -15,8 +15,9 @@
 //! slow-loris budget counts silent poll ticks only while mid-frame or
 //! mid-response (an idle keep-alive connection may sit forever).
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 
 use httpsim::{header_section_end, Request, Response};
 use wcc_obs::ConnCloseReason;
@@ -159,7 +160,12 @@ pub(crate) struct Conn {
     stream: TcpStream,
     frames: FrameBuf,
     state: ConnState,
-    wbuf: Vec<u8>,
+    /// The serialized head of the response being written; cleared, not
+    /// reallocated, between responses.
+    head: Vec<u8>,
+    /// The body being written, shared with the cache (never copied).
+    body: Option<Arc<Vec<u8>>>,
+    /// Bytes of `head` followed by `body` already written.
     wpos: usize,
     peer_eof: bool,
     stall_ticks: u32,
@@ -172,7 +178,8 @@ impl Conn {
             stream,
             frames: FrameBuf::new(),
             state: ConnState::Reading,
-            wbuf: Vec::new(),
+            head: Vec::new(),
+            body: None,
             wpos: 0,
             peer_eof: false,
             stall_ticks: 0,
@@ -244,31 +251,53 @@ impl Conn {
     }
 
     /// The dispatcher produced the response for the outstanding
-    /// request: serialize it and start (or finish) writing.
-    pub(crate) fn on_response(&mut self, resp: &Response, body: &[u8], role: &str) -> ConnEvent {
-        self.wbuf = resp.to_bytes(body);
+    /// request: serialize its head into the reused head buffer, keep a
+    /// handle on the body, and start (or finish) writing.
+    pub(crate) fn on_response(
+        &mut self,
+        resp: &Response,
+        body: Arc<Vec<u8>>,
+        role: &str,
+    ) -> ConnEvent {
+        assert_eq!(
+            body.len() as u64,
+            resp.content_length.unwrap_or(0),
+            "body length must match Content-Length framing"
+        );
+        self.head.clear();
+        resp.encode_head(&mut self.head);
+        self.body = Some(body);
         self.wpos = 0;
         self.state = ConnState::Writing;
         self.stall_ticks = 0;
         self.on_writable(role)
     }
 
-    /// Writable readiness: flush the response buffer; on completion,
-    /// return to keep-alive and immediately scan for a pipelined
-    /// request.
+    /// Writable readiness: flush head and body with vectored writes; on
+    /// completion, return to keep-alive and immediately scan for a
+    /// pipelined request.
     pub(crate) fn on_writable(&mut self, role: &str) -> ConnEvent {
         if !matches!(self.state, ConnState::Writing) {
             return ConnEvent::Idle; // spurious writable edge
         }
+        let body: &[u8] = self.body.as_deref().map_or(&[], Vec::as_slice);
+        let total = self.head.len() + body.len();
         loop {
-            if self.wpos == self.wbuf.len() {
-                self.wbuf = Vec::new();
+            if self.wpos == total {
+                // Release the body to the cache; keep the head's capacity.
+                self.body = None;
                 self.wpos = 0;
                 self.state = ConnState::Reading;
                 self.stall_ticks = 0;
                 return self.scan();
             }
-            match self.stream.write(&self.wbuf[self.wpos..]) {
+            let written = if self.wpos < self.head.len() {
+                let slices = [IoSlice::new(&self.head[self.wpos..]), IoSlice::new(body)];
+                self.stream.write_vectored(&slices)
+            } else {
+                self.stream.write(&body[self.wpos - self.head.len()..])
+            };
+            match written {
                 Ok(0) => return ConnEvent::Close(ConnCloseReason::Error),
                 Ok(n) => {
                     self.wpos += n;
@@ -309,6 +338,9 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use httpsim::HttpDate;
+    use std::net::TcpListener;
+    use std::time::Duration;
 
     fn get(path: &str) -> Vec<u8> {
         Request::get(path).to_bytes()
@@ -393,5 +425,40 @@ mod tests {
         let mut fb = FrameBuf::new();
         fb.push(&vec![b'x'; MAX_FRAME]).unwrap();
         assert_eq!(fb.push(b"y").unwrap_err(), FrameError::Oversize);
+    }
+
+    /// A body far larger than the socket buffer drains across many
+    /// partial writes, and the peer reads exactly `Response::to_bytes`.
+    #[test]
+    fn large_response_drains_across_partial_vectored_writes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(server, 4);
+        let body: Vec<u8> = (0..16usize << 20).map(|i| (i % 251) as u8).collect();
+        let resp = Response::ok(HttpDate(2), HttpDate(1), body.len() as u64);
+        let expected = resp.to_bytes(&body);
+        let mut writing = matches!(
+            conn.on_response(&resp, Arc::new(body), "test"),
+            ConnEvent::Idle
+        ) && matches!(conn.state, ConnState::Writing);
+        assert!(writing, "16 MiB cannot fit one socket write");
+        let mut got = Vec::with_capacity(expected.len());
+        let mut chunk = vec![0u8; 256 << 10];
+        while got.len() < expected.len() {
+            let n = client.read(&mut chunk).unwrap();
+            assert!(n > 0, "EOF after {} bytes", got.len());
+            got.extend_from_slice(&chunk[..n]);
+            if writing {
+                assert!(matches!(conn.on_writable("test"), ConnEvent::Idle));
+                writing = matches!(conn.state, ConnState::Writing);
+            }
+        }
+        assert!(!writing, "back to reading once drained");
+        assert!(got == expected, "wire bytes differ from to_bytes");
     }
 }

@@ -27,10 +27,13 @@
 //! The origin and proxy **data paths** run on a hand-rolled nonblocking
 //! epoll reactor (`--reactor-threads` event loops, each owning an epoll
 //! instance and a slab of per-connection state machines), so one process
-//! sustains 10k+ concurrently open connections; control channels and
-//! load-generator clients stay blocking `std::net` threads (the build
-//! environment has no async runtime, and none is needed). See
-//! `DESIGN.md` §8 for the thread model and §12 for the reactor.
+//! sustains 10k+ concurrently open connections. The proxy decides every
+//! request on its reactor thread and answers fresh hits there; only
+//! upstream exchanges and single-flight waits go to its worker pool.
+//! Control channels and load-generator clients stay blocking `std::net`
+//! threads (the build environment has no async runtime, and none is
+//! needed). See `DESIGN.md` §8 for the thread model and §12 for the
+//! reactor.
 
 // `deny`, not `forbid`: the single `sys` module scopes an `allow` for
 // the raw epoll/eventfd syscall declarations (the vendored-only policy

@@ -36,7 +36,7 @@ use wcc_sync::RankedMutex;
 use crate::clock::{sim_instant, wall_date, LiveClock};
 use crate::control::{write_msg, ControlMsg, LineConn};
 use crate::netio::{log_conn_error, DEFAULT_READ_BUDGET_TICKS, POLL_TICK};
-use crate::reactor::{Dispatch, Reactor, ReactorConfig};
+use crate::reactor::{Dispatch, Reactor, ReactorConfig, Routed};
 
 /// Configuration for [`LiveOrigin::spawn`].
 #[derive(Debug, Clone)]
@@ -319,17 +319,17 @@ impl OriginShared {
 }
 
 /// The origin's reactor dispatcher: `respond` is pure in-memory
-/// accounting (no IO, no blocking waits), so it runs inline on the
-/// reactor thread.
+/// accounting (no IO, no blocking waits), so every request is answered
+/// inline on the reactor thread.
 struct OriginDispatch {
     shared: Arc<OriginShared>,
 }
 
 impl Dispatch for OriginDispatch {
-    fn dispatch(&self, req: &Request) -> io::Result<(Response, Arc<Vec<u8>>)> {
+    fn dispatch(&self, req: Request) -> io::Result<Routed> {
         let now = self.shared.clock.now();
-        let (resp, body) = self.shared.respond(req, now);
-        Ok((resp, Arc::new(body)))
+        let (resp, body) = self.shared.respond(&req, now);
+        Ok(Routed::Ready((resp, Arc::new(body))))
     }
 }
 

@@ -40,10 +40,20 @@
 //! subscribe-before-insert and victim-unsubscribe ordering are
 //! preserved per shard.
 //!
+//! **Threads.** Every request is decided on the reactor thread that read
+//! it: one shard-lock acquisition resolves the single-flight check and
+//! the node's decision, and a fresh hit is written back from there with
+//! no hand-off. Only what blocks is deferred to the dispatch workers:
+//! the pooled upstream exchange (checkout → exchange → checkin, with
+//! the step already decided), the single-flight follower's wait, and
+//! the control round-trips a commit needs.
+//!
 //! Locking: a shard's mutex guards that shard's state (node + bodies +
-//! single-flight set) and is only ever held for in-memory work. The node
-//! decides under the lock, the exchange runs with the lock released,
-//! and the reply is committed under it again.
+//! single-flight set) and is only ever held for in-memory work, which
+//! is what lets a reactor thread take it. The node decides under the
+//! lock, the exchange runs on a worker with the lock released, and the
+//! reply is committed under it again. Checkouts, condvar waits and
+//! control round-trips run on workers only.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -67,7 +77,7 @@ use crate::clock::{sim_instant, wall_date, LiveClock};
 use crate::control::{write_msg, ControlMsg, LineConn};
 use crate::netio::{log_conn_error, HttpConn, DEFAULT_READ_BUDGET_TICKS, POLL_TICK};
 use crate::pool::UpstreamPool;
-use crate::reactor::{Dispatch, Reactor, ReactorConfig};
+use crate::reactor::{Answer, Deferred, Dispatch, Reactor, ReactorConfig, Routed};
 
 /// Keep-alive origin connections per shard. Misses and validations are
 /// a minority of requests once the cache warms, so a few pooled sockets
@@ -240,9 +250,9 @@ pub struct ProxyConfig {
     pub probe: ProbeHandle,
     /// Reactor (event-loop) threads serving the client listener.
     pub reactor_threads: usize,
-    /// Dispatch worker threads running [`ProxyShared::handle`] (which
-    /// does blocking upstream IO and single-flight waits, so it must
-    /// not run on a reactor thread).
+    /// Worker threads for upstream work: the pooled exchanges of misses
+    /// and validations and single-flight waits, which block and so never
+    /// run on a reactor thread. Fresh hits are answered by the reactor.
     pub dispatch_threads: usize,
     /// Concurrent client-connection cap; accepts beyond it are shed.
     pub max_conns: usize,
@@ -276,9 +286,9 @@ impl ProxyConfig {
     }
 }
 
-/// Default dispatch worker count. Dispatch is where upstream IO and
-/// single-flight waits happen; a handful of workers keeps the reactor
-/// threads free to move bytes.
+/// Default worker count for upstream work. Upstream IO and
+/// single-flight waits happen there; a handful of workers keeps the
+/// reactor threads free to move bytes and answer hits.
 pub(crate) const DEFAULT_DISPATCH_THREADS: usize = 4;
 
 /// The counters a run accumulates, frozen at shutdown. For a sharded
@@ -322,7 +332,7 @@ struct CacheState {
 
 impl CacheState {
     /// The client response for the resident copy of `file`.
-    fn serve_local(&self, file: FileId, now: SimTime) -> io::Result<(Response, Arc<Vec<u8>>)> {
+    fn serve_local(&self, file: FileId, now: SimTime) -> io::Result<Answer> {
         let (Some(entry), Some(body)) = (self.node.store().peek(file), self.bodies.get(&file))
         else {
             return Err(io::Error::other("resident entry without a body"));
@@ -379,21 +389,43 @@ struct ProxyShared {
 }
 
 /// Clears a registered single-flight entry when the fetch concludes —
-/// on *every* exit path, including errors, so followers are never
-/// stranded waiting on a dead flight.
-struct FlightGuard<'a> {
-    shard: &'a Shard,
+/// on *every* exit path, including errors and deferred work dropped
+/// unrun at shutdown, so followers are never stranded waiting on a dead
+/// flight. Owned by the leader's deferred work, not rebuilt inside it.
+struct FlightGuard {
+    shared: Arc<ProxyShared>,
     file: FileId,
 }
 
-impl Drop for FlightGuard<'_> {
+impl Drop for FlightGuard {
     fn drop(&mut self) {
-        let mut st = self.shard.state.lock();
+        let shard = self.shared.shard(self.file);
+        let mut st = shard.state.lock();
         st.in_flight.remove(&self.file);
         // Notify while the guard is live so a follower's predicate check
         // can never race the removal (wcc-analyze r7).
-        self.shard.flights.notify_all(&st);
+        shard.flights.notify_all(&st);
     }
+}
+
+/// One client request, resolved: what every decision about it needs.
+struct Ask {
+    file: FileId,
+    class: usize,
+    path: String,
+    now: SimTime,
+}
+
+/// The outcome of one decision under a shard lock.
+enum Decision<'a> {
+    /// A local hit: the response for the resident copy.
+    Serve(io::Result<Answer>),
+    /// The upstream step the node asks for; a full fetch leads its
+    /// single flight and carries the registration.
+    Upstream(Step, Option<FlightGuard>),
+    /// Another request leads a fetch of this file. The shard guard is
+    /// handed over so a wait on the flight cannot miss its wakeup.
+    Follow(&'a Shard, RankedGuard<'a, CacheState>),
 }
 
 impl ProxyShared {
@@ -549,14 +581,14 @@ impl ProxyShared {
         }
     }
 
-    /// Block until `file`'s in-flight fetch concludes (or shutdown).
-    /// Consumes the shard guard; the caller re-locks and re-evaluates.
+    /// Wait (one tick at most) for `file`'s in-flight fetch to conclude.
+    /// Consumes the shard guard; the caller decides again afterwards.
     fn wait_for_flight<'a>(
         &self,
         shard: &'a Shard,
         st: RankedGuard<'a, CacheState>,
     ) -> io::Result<()> {
-        // wcc-allow: r7 one bounded tick per call; every caller loops and re-checks in_flight under a fresh guard
+        // wcc-allow: r7 one bounded tick per call; the follower decides again under a fresh guard after every wait
         let (guard, _timed_out) = shard.flights.wait_timeout(st, POLL_TICK);
         drop(guard);
         if self.shutdown.load(Ordering::SeqCst) {
@@ -568,44 +600,85 @@ impl ProxyShared {
         Ok(())
     }
 
-    /// Serve one client request: the shard's [`CacheNode`] decides under
-    /// the shard lock, and the upstream step it asks for runs on a pooled
-    /// connection with the lock released. Single-flight coalescing of
-    /// full fetches is layered on here.
-    fn handle(&self, req: &Request) -> io::Result<(Response, Arc<Vec<u8>>)> {
-        let file = self.resolve(&req.path);
-        let class = self.class_of(file);
-        let now = self.clock.now();
-        let shard = self.shard(file);
-        let (step, _flight) = loop {
-            let mut st = shard.state.lock();
-            if st.was_contended() {
-                self.probe
-                    .record(now, ObsEvent::LockContended { rank: STATE_RANK });
+    /// The one decision for a request: take its shard lock, check the
+    /// single-flight set, and otherwise let the shard's [`CacheNode`]
+    /// decide. Only in-memory work runs under the lock, so this is safe
+    /// on a reactor thread.
+    fn decide(self: &Arc<Self>, ask: &Ask) -> Decision<'_> {
+        let shard = self.shard(ask.file);
+        let mut st = shard.state.lock();
+        if st.was_contended() {
+            self.probe
+                .record(ask.now, ObsEvent::LockContended { rank: STATE_RANK });
+        }
+        if st.in_flight.contains(&ask.file) {
+            return Decision::Follow(shard, st);
+        }
+        match st.node.on_request(ask.file, ask.class, ask.now) {
+            Step::Serve(_) => Decision::Serve(st.serve_local(ask.file, ask.now)),
+            step @ Step::Get { .. } => {
+                // This request leads the flight.
+                st.in_flight.insert(ask.file);
+                let flight = FlightGuard {
+                    shared: Arc::clone(self),
+                    file: ask.file,
+                };
+                Decision::Upstream(step, Some(flight))
             }
-            // A leader is already fetching this file: wait, then decide
-            // against the copy it installed.
-            if st.in_flight.contains(&file) {
-                self.wait_for_flight(shard, st)?;
-                continue;
+            // Uncacheable forwards and conditional validations are
+            // never coalesced: each is its own upstream exchange.
+            step => Decision::Upstream(step, None),
+        }
+    }
+
+    /// Turn a decision into a route: a hit is answered at once, and
+    /// everything that blocks — the upstream exchange, the wait on a
+    /// leader's flight — is deferred to a worker. The flight
+    /// registration moves into the deferred work, so it is released
+    /// however that work ends, unrun included.
+    fn settle(self: &Arc<Self>, decision: Decision<'_>, ask: Ask) -> io::Result<Routed> {
+        let work: Deferred = match decision {
+            Decision::Serve(answer) => return answer.map(Routed::Ready),
+            Decision::Upstream(step, flight) => {
+                let shared = Arc::clone(self);
+                Box::new(move || {
+                    let answer = shared.upstream(&ask, step);
+                    drop(flight);
+                    answer.map(Routed::Ready)
+                })
             }
-            match st.node.on_request(file, class, now) {
-                Step::Serve(_) => return st.serve_local(file, now),
-                step @ Step::Get { .. } => {
-                    // This request leads the flight.
-                    st.in_flight.insert(file);
-                    break (step, Some(FlightGuard { shard, file }));
-                }
-                // Uncacheable forwards and conditional validations are
-                // never coalesced: each is its own upstream exchange.
-                step => break (step, None),
+            Decision::Follow(_, st) => {
+                drop(st);
+                let shared = Arc::clone(self);
+                Box::new(move || shared.follow(ask))
             }
         };
+        Ok(Routed::Defer(work))
+    }
 
-        // One pooled connection serves the exchange and any step its
-        // commit asks for, so a request never checks out two sockets.
-        let mut upstream = shard.pool.checkout(now, &self.probe, &self.shutdown)?;
-        let result = self.exchange(&mut upstream, file, class, &req.path, now, step);
+    /// A single-flight follower's deferred work: wait for the leader's
+    /// fetch, then decide again against the copy it installed. A flight
+    /// still open after one tick yields the worker (the follow is
+    /// deferred anew), so a leader queued behind its followers always
+    /// gets a worker.
+    fn follow(self: &Arc<Self>, ask: Ask) -> io::Result<Routed> {
+        let decision = match self.decide(&ask) {
+            Decision::Follow(shard, st) => {
+                self.wait_for_flight(shard, st)?;
+                self.decide(&ask)
+            }
+            decision => decision,
+        };
+        self.settle(decision, ask)
+    }
+
+    /// The deferred remainder of a request whose step needs the origin.
+    /// One pooled connection serves the exchange and any step its commit
+    /// asks for, so a request never checks out two sockets.
+    fn upstream(&self, ask: &Ask, step: Step) -> io::Result<Answer> {
+        let shard = self.shard(ask.file);
+        let mut upstream = shard.pool.checkout(ask.now, &self.probe, &self.shutdown)?;
+        let result = self.exchange(&mut upstream, ask, step);
         match &result {
             Ok(_) => shard.pool.checkin(upstream),
             Err(_) => shard.pool.discard(),
@@ -615,15 +688,13 @@ impl ProxyShared {
 
     /// Perform `step` against the origin and commit the reply to the
     /// shard's node, until the node is done.
-    fn exchange(
-        &self,
-        upstream: &mut HttpConn,
-        file: FileId,
-        class: usize,
-        path: &str,
-        now: SimTime,
-        mut step: Step,
-    ) -> io::Result<(Response, Arc<Vec<u8>>)> {
+    fn exchange(&self, upstream: &mut HttpConn, ask: &Ask, mut step: Step) -> io::Result<Answer> {
+        let Ask {
+            file,
+            class,
+            ref path,
+            now,
+        } = *ask;
         let shard = self.shard(file);
         loop {
             let request = match step {
@@ -694,20 +765,25 @@ impl ProxyShared {
     }
 }
 
-/// The proxy's reactor dispatcher. `handle` checks out pooled upstream
-/// connections (blocking IO) and can wait on the single-flight condvar,
-/// so it runs on the dispatch worker pool, never on a reactor thread.
-/// A single-flight follower only waits while its leader is already
-/// executing `handle` on some worker slot (the leader registers the
-/// flight from inside `handle`), so followers can never starve the
-/// leader out of the pool.
+/// The proxy's reactor dispatcher. It decides every request on the
+/// reactor thread (the shard lock guards in-memory work only), answers
+/// fresh hits inline, and defers only the upstream exchange and the
+/// single-flight wait to the worker pool.
 struct ProxyDispatch {
     shared: Arc<ProxyShared>,
 }
 
 impl Dispatch for ProxyDispatch {
-    fn dispatch(&self, req: &Request) -> io::Result<(Response, Arc<Vec<u8>>)> {
-        self.shared.handle(req)
+    fn dispatch(&self, req: Request) -> io::Result<Routed> {
+        let shared = &self.shared;
+        let file = shared.resolve(&req.path);
+        let ask = Ask {
+            file,
+            class: shared.class_of(file),
+            path: req.path,
+            now: shared.clock.now(),
+        };
+        shared.settle(shared.decide(&ask), ask)
     }
 }
 
@@ -834,8 +910,8 @@ impl LiveProxy {
             }));
         }
 
-        // The client data path runs on the epoll reactor; request
-        // decisions run on the dispatch worker pool.
+        // The client data path and every request decision run on the
+        // epoll reactor; upstream work runs on the dispatch worker pool.
         let reactor = Reactor::spawn(
             listener,
             Arc::new(ProxyDispatch {
@@ -874,6 +950,12 @@ impl LiveProxy {
     /// Client accepts shed at the connection cap.
     pub fn dropped_accepts(&self) -> u64 {
         self.reactor.as_ref().map_or(0, Reactor::dropped_accepts)
+    }
+
+    /// Jobs handed to the upstream worker pool: one per miss or
+    /// validation (plus a follower's re-queues); a fresh hit queues none.
+    pub fn jobs_queued(&self) -> u64 {
+        self.reactor.as_ref().map_or(0, Reactor::jobs_queued)
     }
 
     fn stop(&mut self) {
@@ -917,10 +999,171 @@ impl Drop for LiveProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::wall_date;
     use crate::origin::{LiveOrigin, OriginConfig};
     use originserver::FileRecord;
     use std::io::{Read as _, Write as _};
     use std::sync::Barrier;
+    use std::time::Duration;
+
+    /// A one-shard TTL proxy over a fresh origin serving `pop`.
+    fn spawn_ttl_proxy(pop: &Arc<FilePopulation>) -> (LiveOrigin, LiveProxy, LiveClock) {
+        let clock = LiveClock::virtual_at(SimTime::from_secs(10));
+        let origin = LiveOrigin::spawn(OriginConfig::new(Arc::clone(pop), clock.clone())).unwrap();
+        let mut cfg = ProxyConfig::new(
+            origin.data_addr(),
+            origin.control_addr(),
+            LivePolicy::Ttl(24),
+            clock.clone(),
+        );
+        cfg.ground_truth = Some(Arc::clone(pop));
+        let proxy = LiveProxy::spawn(cfg).unwrap();
+        (origin, proxy, clock)
+    }
+
+    fn get_ok(conn: &mut HttpConn, path: &str) -> Vec<u8> {
+        conn.write_request(&Request::get(path)).unwrap();
+        let (resp, body) = conn.read_response().unwrap();
+        assert_eq!(resp.status, Status::Ok, "{path}");
+        body
+    }
+
+    /// A fresh hit is answered on the reactor thread: lockstep hits on a
+    /// warmed one-shard proxy queue no worker job, a miss exactly one.
+    #[test]
+    fn fresh_hits_queue_no_jobs_and_each_miss_one() {
+        const FILES: usize = 4;
+        const ROUNDS: usize = 25;
+        let mut pop = FilePopulation::new();
+        for i in 0..FILES {
+            pop.add(FileRecord::new(format!("/f{i}.html"), SimTime::ZERO, 100));
+        }
+        let pop = Arc::new(pop);
+        let (origin, proxy, _clock) = spawn_ttl_proxy(&pop);
+        let mut conn = HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap();
+        for i in 0..FILES {
+            get_ok(&mut conn, &format!("/f{i}.html"));
+            assert_eq!(proxy.jobs_queued(), i as u64 + 1, "one job per miss");
+        }
+        for _ in 0..ROUNDS {
+            for i in 0..FILES {
+                assert_eq!(get_ok(&mut conn, &format!("/f{i}.html")).len(), 100);
+            }
+        }
+        assert_eq!(
+            proxy.jobs_queued(),
+            FILES as u64,
+            "fresh hits queue no jobs"
+        );
+        let snap = proxy.shutdown();
+        assert_eq!(snap.cache.misses, FILES as u64);
+        assert_eq!(snap.cache.fresh_hits, (FILES * ROUNDS) as u64);
+        drop(origin);
+    }
+
+    /// With the only upstream worker stuck on an exchange the origin
+    /// never answers, a fresh hit on another connection is still served
+    /// at once: hits do not queue behind upstream work.
+    #[test]
+    fn fresh_hit_does_not_wait_behind_upstream_work() {
+        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream_addr = upstream.local_addr().unwrap();
+        let (saw_slow_tx, saw_slow) = mpsc::channel::<()>();
+        let (release, release_rx) = mpsc::channel::<()>();
+        // The proxy's one pooled connection: answers `/a`, never `/slow`,
+        // which holds the connection until the test releases it and then
+        // gets EOF.
+        let origin = thread::spawn(move || {
+            let (stream, _) = upstream.accept().unwrap();
+            let mut conn = HttpConn::new(stream).unwrap();
+            let idle = AtomicBool::new(false);
+            while let Some(req) = conn.read_request(&idle).unwrap() {
+                if req.path == "/slow" {
+                    saw_slow_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    return;
+                }
+                let resp = Response::ok(
+                    wall_date(SimTime::from_secs(10)),
+                    wall_date(SimTime::ZERO),
+                    64,
+                );
+                conn.write_response(&resp, &[b'a'; 64]).unwrap();
+            }
+        });
+        let mut cfg = ProxyConfig::new(
+            upstream_addr,
+            upstream_addr,
+            LivePolicy::Ttl(24),
+            LiveClock::virtual_at(SimTime::from_secs(10)),
+        );
+        cfg.dispatch_threads = 1;
+        let proxy = LiveProxy::spawn(cfg).unwrap();
+        let mut warm = HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap();
+        get_ok(&mut warm, "/a");
+
+        let mut slow = HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap();
+        slow.write_request(&Request::get("/slow")).unwrap();
+        saw_slow
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the upstream saw /slow");
+
+        let mut hit = HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap();
+        hit.set_read_budget_ticks(80); // 2 s
+        assert_eq!(get_ok(&mut hit, "/a"), [b'a'; 64]);
+
+        release.send(()).unwrap();
+        origin.join().unwrap();
+        assert!(slow.read_response().is_err(), "/slow fails once cut off");
+        assert_eq!(proxy.jobs_queued(), 2, "the two misses, not the hit");
+        let snap = proxy.shutdown();
+        assert_eq!(snap.cache.fresh_hits, 1);
+        // A miss is counted when its reply commits; `/slow` never got one.
+        assert_eq!(snap.cache.misses, 1);
+    }
+
+    /// A leader's flight registration is owned by its deferred work:
+    /// dropping that work unrun (as the reactor does at shutdown)
+    /// releases the file, and the next request leads a new flight.
+    #[test]
+    fn unrun_leader_work_releases_its_flight() {
+        let mut pop = FilePopulation::new();
+        pop.add(FileRecord::new("/cold.html", SimTime::ZERO, 100));
+        let pop = Arc::new(pop);
+        let (origin, proxy, clock) = spawn_ttl_proxy(&pop);
+        let shared = &proxy.shared;
+        let ask = || {
+            let file = shared.resolve("/cold.html");
+            Ask {
+                file,
+                class: 0,
+                path: "/cold.html".to_string(),
+                now: clock.now(),
+            }
+        };
+        let in_flight = |a: &Ask| {
+            shared
+                .shard(a.file)
+                .state
+                .lock()
+                .in_flight
+                .contains(&a.file)
+        };
+        let leader = ask();
+        let Ok(Routed::Defer(work)) = shared.settle(shared.decide(&leader), ask()) else {
+            panic!("a cold miss defers its fetch");
+        };
+        assert!(in_flight(&leader));
+        assert!(matches!(shared.decide(&ask()), Decision::Follow(..)));
+        drop(work);
+        assert!(!in_flight(&leader), "dropped work released the flight");
+        assert!(matches!(
+            shared.decide(&ask()),
+            Decision::Upstream(Step::Get { .. }, Some(_))
+        ));
+        drop(proxy);
+        drop(origin);
+    }
 
     #[test]
     fn malformed_client_request_kills_only_that_connection() {
@@ -987,41 +1230,48 @@ mod tests {
         let mut pop = FilePopulation::new();
         pop.add(FileRecord::new("/cold.html", SimTime::from_secs(0), BODY));
         let pop = Arc::new(pop);
-        let clock = LiveClock::virtual_at(SimTime::from_secs(10));
-        let origin = LiveOrigin::spawn(OriginConfig::new(Arc::clone(&pop), clock.clone())).unwrap();
-        let mut cfg = ProxyConfig::new(
-            origin.data_addr(),
-            origin.control_addr(),
-            LivePolicy::Ttl(24),
-            clock,
-        );
-        cfg.ground_truth = Some(Arc::clone(&pop));
-        cfg.shards = 4;
-        let proxy = LiveProxy::spawn(cfg).unwrap();
+        // The default topology, and two reactors sharing one upstream
+        // worker: followers queued ahead of their leader must yield it.
+        for (reactor_threads, dispatch_threads) in [(1, DEFAULT_DISPATCH_THREADS), (2, 1)] {
+            let clock = LiveClock::virtual_at(SimTime::from_secs(10));
+            let origin =
+                LiveOrigin::spawn(OriginConfig::new(Arc::clone(&pop), clock.clone())).unwrap();
+            let mut cfg = ProxyConfig::new(
+                origin.data_addr(),
+                origin.control_addr(),
+                LivePolicy::Ttl(24),
+                clock,
+            );
+            cfg.ground_truth = Some(Arc::clone(&pop));
+            cfg.shards = 4;
+            cfg.reactor_threads = reactor_threads;
+            cfg.dispatch_threads = dispatch_threads;
+            let proxy = LiveProxy::spawn(cfg).unwrap();
 
-        let barrier = Barrier::new(N);
-        thread::scope(|s| {
-            for _ in 0..N {
-                s.spawn(|| {
-                    let mut conn =
-                        HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap();
-                    barrier.wait();
-                    conn.write_request(&Request::get("/cold.html")).unwrap();
-                    let (resp, body) = conn.read_response().unwrap();
-                    assert_eq!(resp.status, Status::Ok);
-                    assert_eq!(body.len() as u64, BODY);
-                });
-            }
-        });
+            let barrier = Barrier::new(N);
+            thread::scope(|s| {
+                for _ in 0..N {
+                    s.spawn(|| {
+                        let mut conn =
+                            HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap();
+                        barrier.wait();
+                        conn.write_request(&Request::get("/cold.html")).unwrap();
+                        let (resp, body) = conn.read_response().unwrap();
+                        assert_eq!(resp.status, Status::Ok);
+                        assert_eq!(body.len() as u64, BODY);
+                    });
+                }
+            });
 
-        let snap = proxy.shutdown();
-        let load = origin.shutdown();
-        assert_eq!(
-            snap.cache.misses, 1,
-            "followers must not duplicate the fetch"
-        );
-        assert_eq!(snap.cache.fresh_hits as usize, N - 1);
-        assert_eq!(snap.traffic.file_transfers, 1);
-        assert_eq!(load.document_requests, 1, "origin saw exactly one GET");
+            let snap = proxy.shutdown();
+            let load = origin.shutdown();
+            assert_eq!(
+                snap.cache.misses, 1,
+                "followers must not duplicate the fetch"
+            );
+            assert_eq!(snap.cache.fresh_hits as usize, N - 1);
+            assert_eq!(snap.traffic.file_transfers, 1);
+            assert_eq!(load.document_requests, 1, "origin saw exactly one GET");
+        }
     }
 }

@@ -11,16 +11,22 @@
 //! state machine to `WouldBlock` in both directions, as edge-triggering
 //! requires.
 //!
-//! Request dispatch is pluggable via [`Dispatch`]:
+//! Request dispatch is pluggable via [`Dispatch`]. The reactor thread
+//! routes every request: the dispatcher either answers it at once
+//! ([`Routed::Ready`]), and the reactor writes the response inline on the
+//! same connection with no queue and no wakeup, or hands back the
+//! blocking remainder ([`Routed::Defer`]), which runs on a small worker
+//! pool (`dispatch_threads`) fed by a queue bounded by the connection cap
+//! (at most one outstanding request per connection, enforced by the
+//! state machine). Workers push completions onto the owning reactor's
+//! completion queue and nudge its eventfd.
 //!
 //! * the **origin** answers from memory (no IO, no blocking waits), so
-//!   its dispatcher runs *inline* on the reactor thread;
-//! * the **proxy**'s handler does blocking upstream IO and can wait on
-//!   the single-flight condvar, so its dispatches run on a small worker
-//!   pool (`dispatch_threads`) fed by a queue bounded by the connection
-//!   cap (at most one outstanding request per connection, enforced by
-//!   the state machine). Workers push completions onto the owning
-//!   reactor's completion queue and nudge its eventfd.
+//!   every request is `Ready`;
+//! * the **proxy** decides on the reactor thread under the shard lock
+//!   (in-memory work only) and defers only the upstream exchange and the
+//!   single-flight wait: checkout, condvar waits and control round-trips
+//!   never run on a reactor thread.
 //!
 //! The slow-loris read budget is tick-counted, never clock-read (§r1):
 //! each `epoll_wait` timeout is one idle tick swept over every mid-frame
@@ -67,20 +73,38 @@ const JOBS_RANK: u32 = 20;
 // wcc-lock-rank: reactor.completions.queue 25
 const COMPLETIONS_RANK: u32 = 25;
 
-/// Produces the response for one parsed request. Implementations must
-/// be callable from many threads at once.
+/// A finished response: the head plus the body it frames.
+pub(crate) type Answer = (Response, Arc<Vec<u8>>);
+
+/// Blocking work a dispatcher hands to the worker pool. Running it
+/// yields another [`Routed`]: `Ready` completes the request, `Defer`
+/// yields the worker and queues the returned work again, behind
+/// everything queued meanwhile.
+pub(crate) type Deferred = Box<dyn FnOnce() -> io::Result<Routed> + Send>;
+
+/// How a request is answered.
+pub(crate) enum Routed {
+    /// The response, written by the reactor thread at once.
+    Ready(Answer),
+    /// Work that may block, run on a dispatch worker.
+    Defer(Deferred),
+}
+
+/// Routes one parsed request. `dispatch` runs on a reactor thread, so it
+/// must not block: anything that waits on IO or on another thread goes
+/// into the deferred work it returns.
 pub(crate) trait Dispatch: Send + Sync + 'static {
-    /// Decide and produce the response. An error closes the client
+    /// Answer the request or defer it. An error closes the client
     /// connection (matching the blocking path's behaviour).
-    fn dispatch(&self, req: &Request) -> io::Result<(Response, Arc<Vec<u8>>)>;
+    fn dispatch(&self, req: Request) -> io::Result<Routed>;
 }
 
 /// Reactor sizing and instrumentation.
 pub(crate) struct ReactorConfig {
     /// Event-loop threads (each owns an epoll instance).
     pub reactor_threads: usize,
-    /// Dispatch worker threads; `0` runs dispatch inline on the
-    /// reactor thread (only sound for non-blocking dispatchers).
+    /// Worker threads for deferred work; `0` only for dispatchers that
+    /// never defer.
     pub dispatch_threads: usize,
     /// Connection cap across all reactor threads; accepts beyond it
     /// are shed (accepted, counted, closed).
@@ -99,13 +123,13 @@ struct Job {
     reactor: usize,
     slot: usize,
     gen: u32,
-    req: Request,
+    work: Deferred,
 }
 
 struct Completion {
     slot: usize,
     gen: u32,
-    result: io::Result<(Response, Arc<Vec<u8>>)>,
+    result: io::Result<Answer>,
 }
 
 /// Hand-rolled bounded-by-construction job queue: the state machine
@@ -149,6 +173,7 @@ struct Shared {
     shutdown: AtomicBool,
     open_conns: AtomicUsize,
     dropped_accepts: AtomicU64,
+    jobs_queued: AtomicU64,
     jobs: JobQueue,
     completions: Vec<CompletionQueue>,
     dispatch: Arc<dyn Dispatch>,
@@ -157,12 +182,16 @@ struct Shared {
     role: &'static str,
     max_conns: usize,
     budget_ticks: u32,
-    inline_dispatch: bool,
 }
 
 impl Shared {
     fn record(&self, event: ObsEvent) {
         self.probe.record(self.clock.now(), event);
+    }
+
+    fn defer(&self, job: Job) {
+        self.jobs_queued.fetch_add(1, Ordering::SeqCst);
+        self.jobs.push(job);
     }
 }
 
@@ -216,6 +245,7 @@ impl Reactor {
             shutdown: AtomicBool::new(false),
             open_conns: AtomicUsize::new(0),
             dropped_accepts: AtomicU64::new(0),
+            jobs_queued: AtomicU64::new(0),
             jobs: JobQueue {
                 inner: RankedMutex::new(JOBS_RANK, "reactor.jobs.inner", VecDeque::new()),
                 cond: RankedCondvar::new(),
@@ -227,7 +257,6 @@ impl Reactor {
             role: cfg.role,
             max_conns: cfg.max_conns,
             budget_ticks: cfg.budget_ticks,
-            inline_dispatch: cfg.dispatch_threads == 0,
         });
         let mut threads = Vec::with_capacity(reactors + cfg.dispatch_threads);
         for idx in 0..reactors {
@@ -256,6 +285,11 @@ impl Reactor {
         self.shared.dropped_accepts.load(Ordering::SeqCst)
     }
 
+    /// Jobs handed to the worker pool, yields included.
+    pub(crate) fn jobs_queued(&self) -> u64 {
+        self.shared.jobs_queued.load(Ordering::SeqCst)
+    }
+
     /// Signal shutdown, wake every thread, and join them. Idempotent.
     pub(crate) fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -272,6 +306,11 @@ impl Reactor {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        // Work queued after the workers left is dropped unrun, outside
+        // the queue lock: dropping it releases whatever it owns (the
+        // proxy's single-flight registrations).
+        let unrun = std::mem::take(&mut *self.shared.jobs.inner.lock());
+        drop(unrun);
     }
 }
 
@@ -283,7 +322,17 @@ impl Drop for Reactor {
 
 fn worker_loop(shared: Arc<Shared>) {
     while let Some(job) = shared.jobs.pop(&shared.shutdown) {
-        let result = shared.dispatch.dispatch(&job.req);
+        let result = match (job.work)() {
+            Ok(Routed::Ready(answer)) => Ok(answer),
+            Ok(Routed::Defer(work)) => {
+                // A yield; at shutdown the work is dropped unrun instead.
+                if !shared.shutdown.load(Ordering::SeqCst) {
+                    shared.defer(Job { work, ..job });
+                }
+                continue;
+            }
+            Err(e) => Err(e),
+        };
         let cq = &shared.completions[job.reactor];
         {
             let mut q = cq.queue.lock();
@@ -470,7 +519,7 @@ fn drive(
     }
 }
 
-/// Run one state-machine outcome to quiescence. Inline dispatch can
+/// Run one state-machine outcome to quiescence. A ready answer can
 /// chain (response written → pipelined request parsed → dispatched
 /// again), hence the loop.
 fn handle_event(
@@ -483,38 +532,38 @@ fn handle_event(
     mut ev: ConnEvent,
 ) {
     loop {
-        match ev {
+        let req = match ev {
             ConnEvent::Idle => return,
             ConnEvent::Close(reason) => {
                 close_conn(shared, idx, ep, slots, free, slot, reason);
                 return;
             }
-            ConnEvent::Dispatch(req) => {
-                if shared.inline_dispatch {
-                    match shared.dispatch.dispatch(&req) {
-                        Ok((resp, body)) => {
-                            ev = match slots[slot].conn.as_mut() {
-                                Some(c) => c.on_response(&resp, &body, shared.role),
-                                None => return,
-                            };
-                        }
-                        Err(e) => {
-                            log_conn_error(shared.role, &e);
-                            close_conn(shared, idx, ep, slots, free, slot, ConnCloseReason::Error);
-                            return;
-                        }
-                    }
-                } else {
-                    shared.jobs.push(Job {
-                        reactor: idx,
-                        slot,
-                        gen: slots[slot].gen,
-                        req,
-                    });
-                    return;
-                }
+            ConnEvent::Dispatch(req) => req,
+        };
+        let answer = match shared.dispatch.dispatch(req) {
+            Ok(Routed::Ready(answer)) => Ok(answer),
+            Ok(Routed::Defer(work)) => {
+                shared.defer(Job {
+                    reactor: idx,
+                    slot,
+                    gen: slots[slot].gen,
+                    work,
+                });
+                return;
             }
-        }
+            Err(e) => Err(e),
+        };
+        ev = match answer {
+            Ok((resp, body)) => match slots[slot].conn.as_mut() {
+                Some(c) => c.on_response(&resp, body, shared.role),
+                None => return,
+            },
+            Err(e) => {
+                log_conn_error(shared.role, &e);
+                close_conn(shared, idx, ep, slots, free, slot, ConnCloseReason::Error);
+                return;
+            }
+        };
     }
 }
 
@@ -536,7 +585,7 @@ fn apply_completions(
         match c.result {
             Ok((resp, body)) => {
                 let ev = match slots[c.slot].conn.as_mut() {
-                    Some(conn) => conn.on_response(&resp, &body, shared.role),
+                    Some(conn) => conn.on_response(&resp, body, shared.role),
                     None => continue,
                 };
                 handle_event(shared, idx, ep, slots, free, c.slot, ev);
@@ -595,21 +644,59 @@ fn close_conn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netio::HttpConn;
+    use crate::netio::{HttpConn, MAX_FRAME};
     use httpsim::{HttpDate, Status};
     use simcore::SimTime;
     use std::io::{Read, Write};
     use std::net::SocketAddr;
     use std::time::{Duration, Instant};
 
-    /// Answers every request from memory with a body echoing the path.
-    struct Canned;
+    /// Answers with a body echoing the path: inline, except paths under
+    /// `/d/`, which are deferred to a worker. `/d/twice` yields its
+    /// worker once before answering; `/d/gate` waits for the test to
+    /// release `Gate::open`.
+    struct Canned {
+        gate: Arc<Gate>,
+    }
+
+    #[derive(Default)]
+    struct Gate {
+        /// Held by a test to keep `/d/gate`'s work from finishing.
+        open: std::sync::Mutex<()>,
+        /// Deferred works run to completion.
+        ran: AtomicUsize,
+    }
+
+    fn canned(path: &str) -> Routed {
+        let body = format!("canned:{path}").into_bytes();
+        let resp = Response::ok(HttpDate(2), HttpDate(1), body.len() as u64);
+        Routed::Ready((resp, Arc::new(body)))
+    }
+
+    fn deferred(gate: Arc<Gate>, path: String, yields: bool) -> Deferred {
+        Box::new(move || {
+            if yields {
+                return Ok(Routed::Defer(deferred(gate, path, false)));
+            }
+            if path == "/d/gate" {
+                drop(gate.open.lock().unwrap());
+            }
+            gate.ran.fetch_add(1, Ordering::SeqCst);
+            Ok(canned(&path))
+        })
+    }
 
     impl Dispatch for Canned {
-        fn dispatch(&self, req: &Request) -> io::Result<(Response, Arc<Vec<u8>>)> {
-            let body = format!("canned:{}", req.path).into_bytes();
-            let resp = Response::ok(HttpDate(2), HttpDate(1), body.len() as u64);
-            Ok((resp, Arc::new(body)))
+        fn dispatch(&self, req: Request) -> io::Result<Routed> {
+            if !req.path.starts_with("/d/") {
+                return Ok(canned(&req.path));
+            }
+            let yields = req.path == "/d/twice";
+            Ok(Routed::Defer(deferred(
+                Arc::clone(&self.gate),
+                req.path,
+                yields,
+            )))
         }
     }
 
@@ -617,12 +704,15 @@ mod tests {
         max_conns: usize,
         budget_ticks: u32,
         dispatch_threads: usize,
-    ) -> (Reactor, SocketAddr) {
+    ) -> (Reactor, SocketAddr, Arc<Gate>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        let gate = Arc::new(Gate::default());
         let reactor = Reactor::spawn(
             listener,
-            Arc::new(Canned),
+            Arc::new(Canned {
+                gate: Arc::clone(&gate),
+            }),
             ReactorConfig {
                 reactor_threads: 1,
                 dispatch_threads,
@@ -634,7 +724,7 @@ mod tests {
             },
         )
         .unwrap();
-        (reactor, addr)
+        (reactor, addr, gate)
     }
 
     fn await_until(what: &str, mut done: impl FnMut() -> bool) {
@@ -645,21 +735,54 @@ mod tests {
         }
     }
 
-    fn exchange(conn: &mut HttpConn, path: &str) {
-        conn.write_request(&Request::get(path)).unwrap();
+    fn read_answer(conn: &mut HttpConn, path: &str) {
         let (resp, body) = conn.read_response().unwrap();
         assert_eq!(resp.status, Status::Ok);
-        assert_eq!(body, format!("canned:{path}").into_bytes());
+        assert_eq!(body, format!("canned:{path}").into_bytes(), "for {path}");
     }
 
+    fn exchange(conn: &mut HttpConn, path: &str) {
+        conn.write_request(&Request::get(path)).unwrap();
+        read_answer(conn, path);
+    }
+
+    /// Both routes, one request at a time and pipelined in one segment:
+    /// every answer arrives in request order, and only deferred routes
+    /// (and yields) reach the job queue.
     #[test]
     fn requests_round_trip_inline_and_via_workers() {
-        for dispatch_threads in [0, 2] {
-            let (reactor, addr) = spawn_reactor(64, 1200, dispatch_threads);
-            let mut conn = HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap();
-            for i in 0..3 {
-                exchange(&mut conn, &format!("/f{i}"));
+        let cases: [(usize, &[&str], bool); 4] = [
+            (0, &["/f0", "/f1", "/f2"], false),
+            (2, &["/f0", "/f1", "/f2"], false),
+            (2, &["/d/a", "/b", "/d/twice", "/c", "/d/e"], false),
+            (
+                2,
+                &["/d/a", "/b", "/d/twice", "/c", "/c", "/d/e", "/f"],
+                true,
+            ),
+        ];
+        for (dispatch_threads, paths, pipelined) in cases {
+            let (reactor, addr, gate) = spawn_reactor(64, 1200, dispatch_threads);
+            let mut stream = TcpStream::connect(addr).unwrap();
+            if pipelined {
+                let wire: Vec<u8> = paths
+                    .iter()
+                    .flat_map(|p| Request::get(*p).to_bytes())
+                    .collect();
+                stream.write_all(&wire).unwrap();
             }
+            let mut conn = HttpConn::new(stream).unwrap();
+            for path in paths {
+                if pipelined {
+                    read_answer(&mut conn, path);
+                } else {
+                    exchange(&mut conn, path);
+                }
+            }
+            let deferred = paths.iter().filter(|p| p.starts_with("/d/")).count();
+            let yields = paths.iter().filter(|p| **p == "/d/twice").count();
+            assert_eq!(gate.ran.load(Ordering::SeqCst), deferred);
+            assert_eq!(reactor.jobs_queued(), (deferred + yields) as u64);
             drop(conn);
             await_until("conn close after client hangup", || {
                 reactor.open_conns() == 0
@@ -667,9 +790,39 @@ mod tests {
         }
     }
 
+    /// A connection closed while its request waits on a worker gives up
+    /// its slot; the late completion carries the old generation and is
+    /// dropped instead of being written to the slot's next connection.
+    #[test]
+    fn completion_for_a_closed_conn_is_dropped_by_generation() {
+        let (reactor, addr, gate) = spawn_reactor(16, 1200, 1);
+        let held = gate.open.lock().unwrap();
+        let mut doomed = TcpStream::connect(addr).unwrap();
+        doomed
+            .write_all(&Request::get("/d/gate").to_bytes())
+            .unwrap();
+        await_until("gated request queued", || reactor.jobs_queued() == 1);
+        // Overflow the frame buffer behind the outstanding request: the
+        // reactor closes the connection with its job still running.
+        let _ = doomed.write_all(&vec![b'x'; MAX_FRAME + 1]);
+        await_until("doomed conn closed", || reactor.open_conns() == 0);
+        // The next connection takes the freed slot.
+        let mut next = HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap();
+        exchange(&mut next, "/before");
+        drop(held);
+        // The one worker finishes the gated work before it runs this
+        // request, and the reactor applies completions in order, so the
+        // stale completion is handled first. Had it been applied to this
+        // connection, `canned:/d/gate` would be read here instead.
+        exchange(&mut next, "/d/after");
+        exchange(&mut next, "/again");
+        assert_eq!(gate.ran.load(Ordering::SeqCst), 2);
+        assert_eq!(reactor.open_conns(), 1);
+    }
+
     #[test]
     fn slow_loris_is_reaped_by_the_tick_budget() {
-        let (reactor, addr) = spawn_reactor(16, 2, 0);
+        let (reactor, addr, _) = spawn_reactor(16, 2, 0);
         let mut loris = TcpStream::connect(addr).unwrap();
         loris.write_all(b"GET /half").unwrap(); // partial request, then silence
         await_until("loris registration", || reactor.open_conns() == 1);
@@ -683,7 +836,7 @@ mod tests {
 
     #[test]
     fn idle_keepalive_outlives_the_budget() {
-        let (reactor, addr) = spawn_reactor(16, 1, 0);
+        let (reactor, addr, _) = spawn_reactor(16, 1, 0);
         let mut conn = HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap();
         exchange(&mut conn, "/first");
         // Sit idle well past the 1-tick budget: an idle keep-alive
@@ -695,7 +848,7 @@ mod tests {
 
     #[test]
     fn accepts_beyond_the_cap_are_shed_not_queued() {
-        let (reactor, addr) = spawn_reactor(2, 1200, 0);
+        let (reactor, addr, _) = spawn_reactor(2, 1200, 0);
         let mut a = HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap();
         let mut b = HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap();
         exchange(&mut a, "/a");
